@@ -32,9 +32,8 @@ from .coding import (
 )
 from .errors import PrefixTooShort
 from .language import governing_level, language
-from .parallel import chunk_ranges, run_map
 from .verdicts import Status, Verdict, trend_of
-from .words import DEFAULT_BUDGET, block_length, word_prefix
+from .words import DEFAULT_BUDGET, block_length, occurrences, word_prefix
 
 
 @dataclass(frozen=True)
@@ -123,16 +122,8 @@ class EtaEstimate:
     rarest: Optional[bytes] = None
 
 
-def _count_overlapping(text: bytes, word: bytes) -> int:
-    count, start = 0, text.find(word)
-    while start != -1:
-        count += 1
-        start = text.find(word, start + 1)
-    return count
-
-
 def estimate_eta(c: Coding, length: int, prefix_length: int,
-                 budget: int = DEFAULT_BUDGET, jobs: int = 1) -> EtaEstimate:
+                 budget: int = DEFAULT_BUDGET) -> EtaEstimate:
     """min over length-L factors of their frequency in a length-M prefix.
 
     Demands M >= 10 * (|p(k)| + 1) for the governing level k, and that every
@@ -150,23 +141,7 @@ def estimate_eta(c: Coding, length: int, prefix_length: int,
         )
     prefix = word_prefix(c, prefix_length, budget)
     words = language(c, length, budget).words
-    spans = chunk_ranges(prefix_length, jobs)
-
-    def count_span(span: tuple[int, int]) -> list[int]:
-        lo, hi = span
-        text = prefix[lo:hi + length - 1]
-        window_limit = hi - lo
-        counts = []
-        for w in words:
-            n, start = 0, text.find(w)
-            while start != -1 and start < window_limit:
-                n += 1
-                start = text.find(w, start + 1)
-            counts.append(n)
-        return counts
-
-    per_span = run_map(count_span, spans, jobs)
-    totals = [sum(col) for col in zip(*per_span)]
+    totals = [len(occurrences(prefix, w)) for w in words]
     windows = prefix_length - length + 1
     worst = min(range(len(words)), key=lambda idx: totals[idx])
     if totals[worst] == 0:

@@ -2,15 +2,14 @@
 
 Exit codes: 0 success, 1 formula/oracle check mismatch, 2 usage error,
 3 budget or horizon exhaustion.  All outputs are deterministic: words are
-sorted, JSON keys are sorted, floats use repr, and worker counts never
-affect bytes written.
+sorted, JSON keys are sorted and floats use repr.  Every scan runs serially;
+the worker-count flag is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,13 +40,10 @@ class RunConfig:
     command: str
     coding: Coding
     budget: int
-    jobs: int
 
     def __post_init__(self):
         if self.budget <= 0:
             raise ValueError("--budget: must be positive")
-        if self.jobs <= 0:
-            raise ValueError("--jobs: must be positive")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -59,9 +55,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="symbol budget for materialized words")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for partitionable scans "
-                             "(default: logical cores)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
@@ -80,7 +75,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         coding = parse_coding_spec(args.coding, periods)
     else:
         coding = preset(args.preset, periods)
-    return RunConfig(args.command, coding, args.budget, args.jobs)
+    cfg = RunConfig(args.command, coding, args.budget)
+    if args.jobs <= 0:
+        raise ValueError("--jobs: must be positive")
+    return cfg
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -102,7 +100,7 @@ def _cmd_gen(cfg: RunConfig, args) -> int:
 
 
 def _cmd_language(cfg: RunConfig, args) -> int:
-    lang = language(cfg.coding, args.length, cfg.budget, cfg.jobs)
+    lang = language(cfg.coding, args.length, cfg.budget)
     rendered = [cfg.coding.alphabet.render(w) for w in lang.words]
     if args.json:
         _emit_json({"L": args.length, "count": len(rendered), "words": rendered},
@@ -116,36 +114,35 @@ def _csv_cell(value) -> str:
     return "" if value is None else str(value)
 
 
+def _write_csv(path: Optional[str], header: str, lines) -> None:
+    _write(path, "\n".join([header, *lines]) + "\n")
+
+
+def _formula_vs_oracle(args, header: str, rows, line) -> int:
+    """Write the table; under --check, report every mismatching row."""
+    _write_csv(args.csv, header, [line(r) for r in rows])
+    if not args.check:
+        return 0
+    bad = [r for r in rows if r.oracle != r.formula]
+    for r in bad:
+        print(f"mismatch at L={r.length}: formula {r.formula} != "
+              f"oracle {r.oracle}", file=sys.stderr)
+    return CHECK_MISMATCH if bad else 0
+
+
 def _cmd_complexity(cfg: RunConfig, args) -> int:
-    rows = complexity.profile(cfg.coding, args.max_len, args.check,
-                              cfg.budget, cfg.jobs)
-    lines = ["L,formula,oracle,growth"]
-    lines += [
-        f"{r.length},{r.formula},{_csv_cell(r.oracle)},{r.growth}" for r in rows
-    ]
-    _write(args.csv, "\n".join(lines) + "\n")
-    if args.check:
-        bad = [r for r in rows if r.oracle != r.formula]
-        for r in bad:
-            print(f"mismatch at L={r.length}: formula {r.formula} != "
-                  f"oracle {r.oracle}", file=sys.stderr)
-        return CHECK_MISMATCH if bad else 0
-    return 0
+    rows = complexity.profile(cfg.coding, args.max_len, args.check, cfg.budget)
+    return _formula_vs_oracle(
+        args, "L,formula,oracle,growth", rows,
+        lambda r: f"{r.length},{r.formula},{_csv_cell(r.oracle)},{r.growth}")
 
 
 def _cmd_palindrome(cfg: RunConfig, args) -> int:
     rows = debruijn.palindrome_profile(cfg.coding, args.max_len, args.check,
-                                       cfg.budget, cfg.jobs)
-    lines = ["L,formula,oracle"]
-    lines += [f"{r.length},{r.formula},{_csv_cell(r.oracle)}" for r in rows]
-    _write(args.csv, "\n".join(lines) + "\n")
-    if args.check:
-        bad = [r for r in rows if r.oracle != r.formula]
-        for r in bad:
-            print(f"mismatch at L={r.length}: formula {r.formula} != "
-                  f"oracle {r.oracle}", file=sys.stderr)
-        return CHECK_MISMATCH if bad else 0
-    return 0
+                                       cfg.budget)
+    return _formula_vs_oracle(
+        args, "L,formula,oracle", rows,
+        lambda r: f"{r.length},{r.formula},{_csv_cell(r.oracle)}")
 
 
 def _graph_payload(graph: debruijn.DeBruijnGraph) -> dict:
@@ -170,7 +167,7 @@ def _graph_payload(graph: debruijn.DeBruijnGraph) -> dict:
 
 
 def _cmd_debruijn(cfg: RunConfig, args) -> int:
-    graph = debruijn.build_graph(cfg.coding, args.length, cfg.budget, cfg.jobs)
+    graph = debruijn.build_graph(cfg.coding, args.length, cfg.budget)
     if args.dot:
         _write(args.dot, debruijn.to_dot(graph))
     if args.json_out:
@@ -194,13 +191,10 @@ def _cmd_repetitivity(cfg: RunConfig, args) -> int:
     if not args.max_len and args.alpha is None:
         raise ValueError("--max-len: required unless --alpha is given")
     if args.max_len:
-        rows = repetitivity.report(cfg.coding, args.max_len, cfg.budget,
-                                   cfg.jobs)
-        lines = ["L,formula,oracle"]
-        lines += [
-            f"{r.length},{_csv_cell(r.formula)},{r.oracle}" for r in rows
-        ]
-        _write(args.csv, "\n".join(lines) + "\n")
+        rows = repetitivity.report(cfg.coding, args.max_len, cfg.budget)
+        _write_csv(args.csv, "L,formula,oracle",
+                   [f"{r.length},{_csv_cell(r.formula)},{r.oracle}"
+                    for r in rows])
     if args.alpha is not None:
         av = repetitivity.alpha_verdict(cfg.coding, Fraction(args.alpha),
                                         args.horizon)
@@ -225,7 +219,7 @@ def _cmd_bosh(cfg: RunConfig, args) -> int:
         if args.prefix is None:
             raise ValueError("--eta: requires --prefix M")
         eta = boshernitzan.estimate_eta(cfg.coding, args.eta, args.prefix,
-                                        cfg.budget, cfg.jobs)
+                                        cfg.budget)
         payload["eta"] = {
             "L": eta.length,
             "min_frequency": str(eta.min_frequency),
@@ -268,18 +262,16 @@ def _cmd_spectrum(cfg: RunConfig, args) -> int:
             raise ValueError(
                 f"--energies: expected lo:hi:steps, got {args.energies!r}"
             ) from None
-        n = args.lyapunov or 4096
+        n = 4096 if args.lyapunov is None else args.lyapunov
         estimates = spectral.lyapunov_over_grid(cfg.coding, coeff, grid, n,
-                                                cfg.budget, cfg.jobs)
-        lines = ["E,lyapunov"]
-        lines += [f"{repr(e.energy)},{repr(e.value)}" for e in estimates]
-        _write(args.csv, "\n".join(lines) + "\n")
+                                                cfg.budget)
+        _write_csv(args.csv, "E,lyapunov",
+                   [f"{repr(e.energy)},{repr(e.value)}" for e in estimates])
         return 0
     approx = spectral.finite_section_spectrum(cfg.coding, coeff, args.size,
                                               cfg.budget)
-    lines = ["j,eigenvalue"]
-    lines += [f"{j},{repr(ev)}" for j, ev in enumerate(approx.eigenvalues)]
-    _write(args.csv, "\n".join(lines) + "\n")
+    _write_csv(args.csv, "j,eigenvalue",
+               [f"{j},{repr(ev)}" for j, ev in enumerate(approx.eigenvalues)])
     return 0
 
 
@@ -343,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also estimate eta at this word length")
     p.add_argument("--prefix", type=int, default=None,
                    help="prefix length for the eta estimate")
-    p.add_argument("--json", action="store_true",
-                   help="accepted for symmetry; output is always JSON")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("spectrum", help="finite sections and Lyapunov scans")

@@ -159,11 +159,11 @@ class ComplexityRow:
 
 
 def profile(c: Coding, max_length: int, with_oracle: bool = False,
-            budget: int = DEFAULT_BUDGET, jobs: int = 1) -> list[ComplexityRow]:
+            budget: int = DEFAULT_BUDGET) -> list[ComplexityRow]:
     """Per-L table of formula, growth and (optionally) oracle counts."""
     rows = []
     for length in range(max_length + 1):
-        oracle = len(language(c, length, budget, jobs)) if with_oracle else None
+        oracle = len(language(c, length, budget)) if with_oracle else None
         rows.append(
             ComplexityRow(length, complexity_formula(c, length),
                           growth_formula(c, length), oracle)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coding import Alphabet, Coding, tail_alphabet
-from .language import language
+from .language import host_word, language
 from .words import DEFAULT_BUDGET, block, block_length
 
 
@@ -69,20 +69,19 @@ def _annotations(c: Coding, length: int, budget: int) -> GraphAnnotations:
     if k >= 1 and c.letter(k - 1) in tail_alphabet(c, k):
         pk1, pk2 = block_length(c, k - 1), block_length(c, k - 2)
         if pk1 + 1 <= length <= 2 * pk1 - pk2:
-            host = block(c, k - 1, budget) + bytes([c.letter(k - 1).id]) \
-                + block(c, k - 1, budget)
+            host = host_word(c, k - 1, c.letter(k - 1).id, budget)
             u2, v2 = host[:length], host[-length:]
     return GraphAnnotations(k, u1, v1, u2, v2)
 
 
-def build_graph(c: Coding, length: int, budget: int = DEFAULT_BUDGET,
-                jobs: int = 1) -> DeBruijnGraph:
+def build_graph(c: Coding, length: int,
+                budget: int = DEFAULT_BUDGET) -> DeBruijnGraph:
     """The de Bruijn graph at `length`; needs language(L) and language(L+1)."""
     if length < 1:
         raise IndexError("graph length must be >= 1")
-    vertices = language(c, length, budget, jobs).words
+    vertices = language(c, length, budget).words
     edges = tuple(
-        (w[:-1], w[1:], w) for w in language(c, length + 1, budget, jobs).words
+        (w[:-1], w[1:], w) for w in language(c, length + 1, budget).words
     )
     return DeBruijnGraph(c.alphabet, length, vertices, edges,
                          _annotations(c, length, budget))
@@ -165,11 +164,9 @@ def palindrome_formula(c: Coding, length: int) -> int:
     return value
 
 
-def palindrome_oracle(c: Coding, length: int, budget: int = DEFAULT_BUDGET,
-                      jobs: int = 1) -> int:
-    return sum(
-        1 for w in language(c, length, budget, jobs) if w == w[::-1]
-    )
+def palindrome_oracle(c: Coding, length: int,
+                      budget: int = DEFAULT_BUDGET) -> int:
+    return sum(1 for w in language(c, length, budget) if w == w[::-1])
 
 
 @dataclass(frozen=True)
@@ -180,13 +177,12 @@ class PalindromeRow:
 
 
 def palindrome_profile(c: Coding, max_length: int, with_oracle: bool = False,
-                       budget: int = DEFAULT_BUDGET,
-                       jobs: int = 1) -> list[PalindromeRow]:
+                       budget: int = DEFAULT_BUDGET) -> list[PalindromeRow]:
     """Per-L palindrome counts by formula and (optionally) by enumeration."""
     return [
         PalindromeRow(
             L, palindrome_formula(c, L),
-            palindrome_oracle(c, L, budget, jobs) if with_oracle else None,
+            palindrome_oracle(c, L, budget) if with_oracle else None,
         )
         for L in range(1, max_length + 1)
     ]

@@ -13,7 +13,6 @@ from functools import cached_property, lru_cache
 
 from .coding import Coding, Letter, tail_alphabet
 from .errors import WordNotInLanguage
-from .parallel import chunk_ranges, run_map
 from .words import DEFAULT_BUDGET, block, block_length
 
 
@@ -46,43 +45,38 @@ def governing_level(c: Coding, length: int) -> int:
     return k
 
 
+def host_word(c: Coding, k: int, letter_id: int,
+              budget: int = DEFAULT_BUDGET) -> bytes:
+    """The word p(k) a p(k) for the letter with id `letter_id`."""
+    p = block(c, k, budget)
+    return p + bytes([letter_id]) + p
+
+
 def enclosing_words(c: Coding, length: int,
                     budget: int = DEFAULT_BUDGET) -> list[bytes]:
     """The words p(k) a p(k), a in A_{k+1}, that exhaust factors up to `length`."""
     k = governing_level(c, length)
-    p = block(c, k, budget)
-    ids = sorted(tail_alphabet(c, k + 1).ids)
-    return [p + bytes([a]) + p for a in ids]
+    return [host_word(c, k, a, budget)
+            for a in sorted(tail_alphabet(c, k + 1).ids)]
 
 
 @lru_cache(maxsize=64)
-def _language(c: Coding, length: int, budget: int, jobs: int) -> tuple[bytes, ...]:
+def _language(c: Coding, length: int, budget: int) -> tuple[bytes, ...]:
     if length == 0:
         return (b"",)
-    hosts = enclosing_words(c, length, budget)
-
-    def scan(span: tuple[int, int]) -> set[bytes]:
-        lo, hi = span
-        found: set[bytes] = set()
-        for w in hosts:
-            for i in range(lo, min(hi, len(w) - length + 1)):
-                found.add(w[i:i + length])
-        return found
-
-    windows = max(len(w) for w in hosts) - length + 1
-    parts = run_map(scan, chunk_ranges(windows, jobs), jobs)
-    words: set[bytes] = set()
-    for part in parts:
-        words |= part
-    return tuple(sorted(words))
+    return tuple(sorted({
+        w[i:i + length]
+        for w in enclosing_words(c, length, budget)
+        for i in range(len(w) - length + 1)
+    }))
 
 
-def language(c: Coding, length: int, budget: int = DEFAULT_BUDGET,
-             jobs: int = 1) -> LanguageSet:
+def language(c: Coding, length: int,
+             budget: int = DEFAULT_BUDGET) -> LanguageSet:
     """The exact set of length-`length` factors; {empty word} for length 0."""
     if length < 0:
         raise IndexError("word length must be >= 0")
-    return LanguageSet(length, _language(c, length, budget, jobs))
+    return LanguageSet(length, _language(c, length, budget))
 
 
 def right_extensions(c: Coding, word: bytes,

@@ -30,13 +30,11 @@ from .coding import (
     log_scaled_length,
     m_cycle,
     m_sequence,
-    tail_alphabet,
 )
 from .errors import BudgetExceeded, OutOfTheoremRange
-from .language import governing_level, language
-from .parallel import run_map
+from .language import enclosing_words, language
 from .verdicts import Status, Verdict, trend_of
-from .words import DEFAULT_BUDGET, block, block_length
+from .words import DEFAULT_BUDGET, block_length, occurrences
 
 
 def _band_index(c: Coding, length: int) -> int:
@@ -74,20 +72,12 @@ def formula_valid_from(c: Coding) -> int:
     return block_length(c, m1) - block_length(c, m1 - 1) + 1
 
 
-def _occurrences(host: bytes, word: bytes) -> list[int]:
-    out, start = [], host.find(word)
-    while start != -1:
-        out.append(start)
-        start = host.find(word, start + 1)
-    return out
-
-
 def _window_contains_all(host: bytes, words, window: int) -> bool:
     """Does every length-`window` factor of `host` contain every word?"""
     last_start = len(host) - window
     for word in words:
         slack = window - len(word)
-        occ = _occurrences(host, word)
+        occ = occurrences(host, word)
         if not occ or occ[0] > slack:
             return False
         if occ[-1] < last_start:
@@ -99,7 +89,7 @@ def _window_contains_all(host: bytes, words, window: int) -> bool:
 
 
 def repetitivity_oracle(c: Coding, length: int, budget: int = DEFAULT_BUDGET,
-                        cap: Optional[int] = None, jobs: int = 1) -> int:
+                        cap: Optional[int] = None) -> int:
     """Minimal window size containing every length-`length` factor.
 
     Exponential bracketing plus bisection over the monotone predicate
@@ -111,15 +101,8 @@ def repetitivity_oracle(c: Coding, length: int, budget: int = DEFAULT_BUDGET,
     inner = language(c, length, budget).words
 
     def check(window: int) -> bool:
-        k = governing_level(c, window)
-        p = block(c, k, budget)
-        hosts = [
-            p + bytes([a]) + p for a in sorted(tail_alphabet(c, k + 1).ids)
-        ]
-        results = run_map(
-            lambda host: _window_contains_all(host, inner, window), hosts, jobs
-        )
-        return all(results)
+        return all(_window_contains_all(host, inner, window)
+                   for host in enclosing_words(c, window, budget))
 
     limit = cap if cap is not None else budget
     hi = 2 * length + 2
@@ -212,8 +195,8 @@ class RepetitivityRow:
     oracle: int
 
 
-def report(c: Coding, max_length: int, budget: int = DEFAULT_BUDGET,
-           jobs: int = 1) -> list[RepetitivityRow]:
+def report(c: Coding, max_length: int,
+           budget: int = DEFAULT_BUDGET) -> list[RepetitivityRow]:
     """Per-L table of formula (where defined) and oracle values."""
     rows = []
     for length in range(1, max_length + 1):
@@ -222,6 +205,6 @@ def report(c: Coding, max_length: int, budget: int = DEFAULT_BUDGET,
         except OutOfTheoremRange:
             formula = None
         cap = 4 * formula if formula is not None else None
-        oracle = repetitivity_oracle(c, length, budget, cap, jobs)
+        oracle = repetitivity_oracle(c, length, budget, cap)
         rows.append(RepetitivityRow(length, formula, oracle))
     return rows

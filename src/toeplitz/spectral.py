@@ -271,10 +271,5 @@ def energy_grid(lo: float, hi: float, steps: int) -> list[float]:
 
 def lyapunov_over_grid(c: Coding, coeff: CoefficientMap,
                        energies: Sequence[float], n: int,
-                       budget: int = DEFAULT_BUDGET,
-                       jobs: int = 1) -> list[LyapunovEstimate]:
-    from .parallel import run_map
-
-    return run_map(
-        lambda E: lyapunov_estimate(c, coeff, E, n, budget), list(energies), jobs
-    )
+                       budget: int = DEFAULT_BUDGET) -> list[LyapunovEstimate]:
+    return [lyapunov_estimate(c, coeff, E, n, budget) for E in energies]

@@ -46,4 +46,3 @@ class Verdict:
     period: Optional[tuple[int, int]] = None  # (start index, cycle length)
     trend: Optional[str] = None
     horizon: Optional[int] = None
-    detail: str = ""

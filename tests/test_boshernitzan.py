@@ -109,8 +109,3 @@ class TestEta:
     def test_prefix_too_short_rejected(self, grig):
         with pytest.raises(PrefixTooShort):
             estimate_eta(grig, 16, 100)  # needs 10 * (|p(3)| + 1) = 160
-
-    def test_jobs_do_not_change_counts(self, grig):
-        a = estimate_eta(grig, 3, 4096, jobs=1)
-        b = estimate_eta(grig, 3, 4096, jobs=8)
-        assert a == b

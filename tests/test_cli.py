@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from toeplitz.cli import main
 
 
@@ -59,6 +61,20 @@ class TestExitCodes:
                            "--max-len", "4", "--check")
         assert code == 1 and "mismatch at L=3" in err
 
+    def test_palindrome_mismatch_is_one(self, capsys, monkeypatch):
+        import toeplitz.debruijn as db
+
+        real = db.palindrome_formula
+        monkeypatch.setattr(
+            db, "palindrome_formula",
+            lambda c, L: real(c, L) + (1 if L == 2 else 0),
+        )
+        code, out, err = run(capsys, "palindrome", "--preset", "grigorchuk",
+                             "--max-len", "3", "--check")
+        assert code == 1
+        assert out == "L,formula,oracle\n1,4,4\n2,1,0\n3,4,4\n"
+        assert err == "mismatch at L=2: formula 1 != oracle 0\n"
+
     def test_usage_error_is_two(self, capsys):
         code, _, err = run(capsys, "complexity", "--coding", "a:2 | x:2 y:2",
                            "--preset", "grigorchuk", "--max-len", "2")
@@ -77,6 +93,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "repetitivity", "--coding", "| @liuqu(16)",
                            "--max-len", "64")
         assert code == 3 and "horizon" in err.lower()
+
+    def test_zero_jobs_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "gen", "--preset", "grigorchuk",
+                             "--length", "4", "--jobs", "0")
+        assert code == 2 and out == "" and "--jobs" in err
+
+    def test_zero_lyapunov_steps_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--preset", "grigorchuk",
+                             "--energies", "0:1:2", "--lyapunov", "0")
+        assert code == 2 and out == "" and "n >= 1" in err
+
+    def test_bosh_has_no_json_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bosh", "--preset", "grigorchuk", "--json"])
+        assert exc.value.code == 2
 
 
 class TestReports:

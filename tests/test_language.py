@@ -47,11 +47,6 @@ class TestLanguage:
                 )
                 assert total == len(language(c, length + 1))
 
-    def test_jobs_do_not_change_the_result(self, grig):
-        a = language(grig, 5, jobs=1)
-        b = language(grig, 5, jobs=8)
-        assert a.words == b.words
-
     def test_cross_check_against_prefix_factors(self, battery, grig):
         # all of A_{k+1} shows up among a_{k+1}..a_{kappa(k)}, so the prefix
         # p(kappa(k)) already contains every factor of length <= |p(k)| + 1

@@ -71,10 +71,6 @@ class TestOracle:
             for L in (1, 2, 3):
                 assert repetitivity_oracle(c, L) > L
 
-    def test_jobs_do_not_change_answers(self, grig):
-        assert repetitivity_oracle(grig, 5, jobs=8) == \
-            repetitivity_oracle(grig, 5, jobs=1)
-
 
 def proposition_bounds_hold(c, i):
     """The four one-sided bounds around the band edges of index i."""

@@ -13,7 +13,6 @@ from toeplitz.spectral import (
     finite_section,
     finite_section_spectrum,
     lyapunov_estimate,
-    lyapunov_over_grid,
     spectral_bounds,
     step_matrix,
     transfer_cocycle,
@@ -123,12 +122,6 @@ class TestLyapunov:
         # renormalization
         est = lyapunov_estimate(grig, grig_coeff, 8.0, 1 << 16)
         assert math.isfinite(est.value) and est.value > 1.0
-
-    def test_grid_is_parallel_safe(self, grig, grig_coeff):
-        grid = [-1.0, 0.0, 1.0, 2.0]
-        seq = lyapunov_over_grid(grig, grig_coeff, grid, 512, jobs=1)
-        par = lyapunov_over_grid(grig, grig_coeff, grid, 512, jobs=4)
-        assert seq == par
 
 
 class TestFiniteSections:
