@@ -29,11 +29,13 @@ from .coding import (
     kappa,
     m_cycle,
     m_sequence,
+    period_product,
 )
 from .errors import PrefixTooShort
-from .language import governing_level, language
+from .language import language
 from .verdicts import Status, Verdict, trend_of
-from .words import DEFAULT_BUDGET, block_length, occurrences, word_prefix
+from .words import (DEFAULT_BUDGET, block_length, governing_level, occurrences,
+                    word_prefix)
 
 
 @dataclass(frozen=True)
@@ -49,11 +51,7 @@ def bosh_products(c: Coding, horizon: int) -> list[BoshWitness]:
     out = []
     for i in range(1, horizon + 1):
         m = m_sequence(c, i)
-        top = kappa(c, m - 1)
-        product = 1
-        for j in range(m + 1, top):
-            product *= c.period(j)
-        out.append(BoshWitness(i, product))
+        out.append(BoshWitness(i, period_product(c, m + 1, kappa(c, m - 1))))
     return out
 
 

@@ -331,6 +331,7 @@ def kappa(c: Coding, k: int) -> int:
     return j
 
 
+@lru_cache(maxsize=1024)
 def _m_prefix(c: Coding, count: int) -> tuple[int, ...]:
     ms = [0]
     while len(ms) <= count:
@@ -340,11 +341,6 @@ def _m_prefix(c: Coding, count: int) -> tuple[int, ...]:
             k += 1
         ms.append(k)
     return tuple(ms)
-
-
-@lru_cache(maxsize=1024)
-def _m_prefix_cached(c: Coding, count: int) -> tuple[int, ...]:
-    return _m_prefix(c, count)
 
 
 def m_sequence(c: Coding, i: int) -> int:
@@ -358,7 +354,7 @@ def m_sequence(c: Coding, i: int) -> int:
     """
     if i < 0:
         raise IndexError("m-sequence index must be >= 0")
-    return _m_prefix_cached(c, i)[i]
+    return _m_prefix(c, i)[i]
 
 
 def m_cycle(c: Coding) -> tuple[int, int]:
@@ -391,10 +387,12 @@ def scaled_length(c: Coding, k: int) -> int:
     """n_0 * ... * n_k, i.e. |p(k)| + 1; equals 1 for k = -1."""
     if k < -1:
         raise IndexError("level must be >= -1")
-    out = 1
-    for j in range(k + 1):
-        out *= c.period(j)
-    return out
+    return period_product(c, 0, k + 1)
+
+
+def period_product(c: Coding, lo: int, hi: int) -> int:
+    """n_lo * ... * n_{hi-1}; 1 for an empty range."""
+    return math.prod(c.period(j) for j in range(lo, hi))
 
 
 def log_scaled_length(c: Coding, k: int) -> float:

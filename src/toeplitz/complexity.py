@@ -22,24 +22,11 @@ from typing import Optional
 
 from .coding import Coding, eventual_alphabet, stabilization_index, tail_alphabet
 from .language import language
-from .words import DEFAULT_BUDGET, block_length
+from .words import DEFAULT_BUDGET, block_length, governing_level
 
 
 def _ind(flag: bool) -> int:
     return 1 if flag else 0
-
-
-def _band_level(c: Coding, length: int, checkpoint: bool) -> int:
-    """Least k >= 1 with length <= |p(k)| + 1 (complexity) or <= |p(k)| (growth).
-
-    Found by scanning cumulative period products so band boundaries are hit
-    exactly; logarithms would risk picking the wrong theorem at L = |p(k)|+1.
-    """
-    bound = 1 if checkpoint else 0
-    k = 1
-    while length > block_length(c, k) + bound:
-        k += 1
-    return k
 
 
 def complexity_formula(c: Coding, length: int) -> int:
@@ -56,7 +43,7 @@ def complexity_formula(c: Coding, length: int) -> int:
         in_a1 = c.letter(0) in tail_alphabet(c, 1)
         return (a0 - 1) * length + _ind(in_a1)
 
-    k = _band_level(c, length, checkpoint=True)
+    k = governing_level(c, length, 1)
     pk = block_length(c, k)
     pk1 = block_length(c, k - 1)
     pk2 = block_length(c, k - 2)
@@ -95,7 +82,7 @@ def growth_formula(c: Coding, length: int) -> int:
     if length == p0:
         return len(tail_alphabet(c, 1)) - 1
 
-    k = _band_level(c, length, checkpoint=False)
+    k = governing_level(c, length, 0)
     pk = block_length(c, k)
     pk1 = block_length(c, k - 1)
     pk2 = block_length(c, k - 2)

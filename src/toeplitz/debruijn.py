@@ -18,7 +18,7 @@ from typing import Optional
 
 from .coding import Alphabet, Coding, tail_alphabet
 from .language import host_word, language
-from .words import DEFAULT_BUDGET, block, block_length
+from .words import DEFAULT_BUDGET, block, block_length, governing_level
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,7 @@ class DeBruijnGraph:
 
 
 def _annotations(c: Coding, length: int, budget: int) -> GraphAnnotations:
-    k = 0
-    while block_length(c, k) < length:
-        k += 1
+    k = governing_level(c, length, 0)
     p = block(c, k, budget)
     u1, v1 = p[:length], p[-length:]
     u2 = v2 = None
@@ -144,9 +142,7 @@ def palindrome_formula(c: Coding, length: int) -> int:
     if length <= p0:
         return (len(tail_alphabet(c, 0)) - 1) * (length % 2) + 1
 
-    k = 1
-    while length > block_length(c, k):
-        k += 1
+    k = governing_level(c, length, 0)
     pk = block_length(c, k)
     pk1 = block_length(c, k - 1)
     pk2 = block_length(c, k - 2)

@@ -9,11 +9,11 @@ by letter id (bytes order), which makes CLI output and graph layouts stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .coding import Coding, Letter, tail_alphabet
 from .errors import WordNotInLanguage
-from .words import DEFAULT_BUDGET, block, block_length
+from .words import DEFAULT_BUDGET, block, governing_level
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,6 @@ class LanguageSet:
         return iter(self.words)
 
 
-def governing_level(c: Coding, length: int) -> int:
-    """Minimal k with |p(k)| + 1 >= length."""
-    k = 0
-    while block_length(c, k) + 1 < length:
-        k += 1
-    return k
-
-
 def host_word(c: Coding, k: int, letter_id: int,
               budget: int = DEFAULT_BUDGET) -> bytes:
     """The word p(k) a p(k) for the letter with id `letter_id`."""
@@ -60,23 +52,18 @@ def enclosing_words(c: Coding, length: int,
             for a in sorted(tail_alphabet(c, k + 1).ids)]
 
 
-@lru_cache(maxsize=64)
-def _language(c: Coding, length: int, budget: int) -> tuple[bytes, ...]:
-    if length == 0:
-        return (b"",)
-    return tuple(sorted({
-        w[i:i + length]
-        for w in enclosing_words(c, length, budget)
-        for i in range(len(w) - length + 1)
-    }))
-
-
 def language(c: Coding, length: int,
              budget: int = DEFAULT_BUDGET) -> LanguageSet:
     """The exact set of length-`length` factors; {empty word} for length 0."""
     if length < 0:
         raise IndexError("word length must be >= 0")
-    return LanguageSet(length, _language(c, length, budget))
+    if length == 0:
+        return LanguageSet(0, (b"",))
+    return LanguageSet(length, tuple(sorted({
+        w[i:i + length]
+        for w in enclosing_words(c, length, budget)
+        for i in range(len(w) - length + 1)
+    })))
 
 
 def right_extensions(c: Coding, word: bytes,

@@ -10,8 +10,9 @@ L >= |p(m_1)| - |p(m_1 - 1)| + 1 and reads, per band i,
                 for |p(m_i)| + 2 <= L <= |p(m_{i+1})| - |p(m_{i+1}-1)|.
 
 Below the validity range the formula refuses (OutOfTheoremRange) and the
-oracle stands alone.  The oracle never assumes the formula: it brackets the
-answer by doubling and then bisects the monotone containment predicate.
+oracle stands alone.  The oracle never consults the formula: R(L) is one
+more than the longest factor missing some length-L factor, read off the gaps
+between occurrences in the hosts p(K) a p(K) (the return-word view).
 
 A subshift is alpha-repetitive when 0 < limsup_i (n_0...n_{kappa(m_i)-1}) /
 (n_0...n_{m_i})^alpha < infinity; alpha = 1 (linear repetitivity) reduces to
@@ -30,11 +31,12 @@ from .coding import (
     log_scaled_length,
     m_cycle,
     m_sequence,
+    period_product,
 )
-from .errors import BudgetExceeded, OutOfTheoremRange
+from .errors import OutOfTheoremRange
 from .language import enclosing_words, language
 from .verdicts import Status, Verdict, trend_of
-from .words import DEFAULT_BUDGET, block_length, occurrences
+from .words import DEFAULT_BUDGET, block_length, governing_level, occurrences
 
 
 def _band_index(c: Coding, length: int) -> int:
@@ -72,54 +74,38 @@ def formula_valid_from(c: Coding) -> int:
     return block_length(c, m1) - block_length(c, m1 - 1) + 1
 
 
-def _window_contains_all(host: bytes, words, window: int) -> bool:
-    """Does every length-`window` factor of `host` contain every word?"""
-    last_start = len(host) - window
-    for word in words:
-        slack = window - len(word)
-        occ = occurrences(host, word)
-        if not occ or occ[0] > slack:
-            return False
-        if occ[-1] < last_start:
-            return False
-        for t, t_next in zip(occ, occ[1:]):
-            if t_next - t >= slack + 2 and t + 1 <= last_start:
-                return False
-    return True
+def _longest_free(host: bytes, word: bytes) -> int:
+    """Length of the longest factor of `host` that does not contain `word`."""
+    occ = occurrences(host, word)
+    if not occ:
+        return len(host)
+    gaps = (t_next - t for t, t_next in zip(occ, occ[1:]))
+    return max(occ[0] + len(word) - 1, len(host) - occ[-1] - 1,
+               max(gaps, default=0) + len(word) - 2)
 
 
-def repetitivity_oracle(c: Coding, length: int, budget: int = DEFAULT_BUDGET,
-                        cap: Optional[int] = None) -> int:
+def repetitivity_oracle(c: Coding, length: int,
+                        budget: int = DEFAULT_BUDGET) -> int:
     """Minimal window size containing every length-`length` factor.
 
-    Exponential bracketing plus bisection over the monotone predicate
-    "every window of that size works"; `cap` bounds the search (and is the
-    only place a formula value may enter, as a safety limit).
+    R(L) is one more than the longest factor that misses some length-L
+    factor w.  Within a host p(K) a p(K) the longest w-free factors run
+    between consecutive occurrences of w or out to the host's ends.  Hosts
+    at level K contain every factor up to length |p(K)| + 1, so an answer
+    of at most |p(K)| + 1 is exact; a larger one is a lower bound, and the
+    hosts are rescanned at the level that covers it.
     """
     if length < 1:
         raise IndexError("repetitivity lengths start at 1")
     inner = language(c, length, budget).words
-
-    def check(window: int) -> bool:
-        return all(_window_contains_all(host, inner, window)
-                   for host in enclosing_words(c, window, budget))
-
-    limit = cap if cap is not None else budget
-    hi = 2 * length + 2
-    while not check(hi):
-        hi *= 2
-        if hi > limit:
-            raise BudgetExceeded(
-                f"containment scan for L={length} exceeded the cap of {limit}"
-            )
-    lo = length  # R(L) > L always: distinct factors of equal length exist
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if check(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    window = length + 1
+    while True:
+        need = 1 + max(_longest_free(host, w)
+                       for host in enclosing_words(c, window, budget)
+                       for w in inner)
+        if need <= block_length(c, governing_level(c, window)) + 1:
+            return need
+        window = need
 
 
 @dataclass(frozen=True)
@@ -148,10 +134,7 @@ def _witness_samples(c: Coding, count: int):
     for i in range(1, count + 1):
         m = m_sequence(c, i)
         top = kappa(c, m)
-        product = 1
-        for j in range(m + 1, top):
-            product *= c.period(j)
-        products.append(product)
+        products.append(period_product(c, m + 1, top))
         gaps.append(top - m)
         log_ratios.append(log_scaled_length(c, top - 1) / log_scaled_length(c, m))
     return tuple(log_ratios), tuple(products), tuple(gaps)
@@ -204,7 +187,6 @@ def report(c: Coding, max_length: int,
             formula: Optional[int] = repetitivity_formula(c, length)
         except OutOfTheoremRange:
             formula = None
-        cap = 4 * formula if formula is not None else None
-        oracle = repetitivity_oracle(c, length, budget, cap)
-        rows.append(RepetitivityRow(length, formula, oracle))
+        rows.append(RepetitivityRow(length, formula,
+                                    repetitivity_oracle(c, length, budget)))
     return rows

@@ -48,6 +48,18 @@ def block_length(c: Coding, k: int) -> int:
     return scaled_length(c, k) - 1
 
 
+def governing_level(c: Coding, length: int, slack: int = 1) -> int:
+    """Least k with |p(k)| + slack >= length.
+
+    Scanning exact block lengths hits band boundaries exactly; logarithms
+    would risk picking the wrong level at L = |p(k)| + slack.
+    """
+    k = 0
+    while block_length(c, k) + slack < length:
+        k += 1
+    return k
+
+
 def word_prefix(c: Coding, length: int, budget: int = DEFAULT_BUDGET) -> bytes:
     """The first `length` symbols of the one-sided limit word.
 
@@ -64,9 +76,7 @@ def word_prefix(c: Coding, length: int, budget: int = DEFAULT_BUDGET) -> bytes:
         )
     if length <= block_length(c, 0):
         return bytes([c.letter(0).id]) * length
-    k = 1
-    while block_length(c, k) < length:
-        k += 1
+    k = governing_level(c, length, 0)
     # p(k) = (p(k-1) a_k)^{n_k - 1} p(k-1) and p(k-1) is a prefix of the
     # repeated chunk, so truncating chunk repetitions is exact
     chunk = block(c, k - 1, budget) + bytes([c.letter(k).id])

@@ -133,7 +133,7 @@ def test_criterion_4_repetitivity(grig, battery):
     with Timer(4, "repetitivity formula vs containment oracle", 300.0):
         for L in range(3, 17):
             want = repetitivity_formula(grig, L)
-            assert repetitivity_oracle(grig, L, cap=4 * want) == want, L
+            assert repetitivity_oracle(grig, L) == want, L
         assert repetitivity_formula(grig, 3) == 32
         assert repetitivity_formula(grig, 4) == 33
 
@@ -144,7 +144,7 @@ def test_criterion_4_repetitivity(grig, battery):
             for i in (1, 2):
                 for L in _band_lengths(c, i):
                     want = repetitivity_formula(c, L)
-                    got = repetitivity_oracle(c, L, cap=4 * want)
+                    got = repetitivity_oracle(c, L)
                     assert got == want, (c.spec_string(), i, L)
             tested += 1
             if tested >= 12:

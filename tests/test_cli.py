@@ -84,10 +84,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "gen", "--coding", "a=2 | x:2", "--length", "2")
         assert code == 2 and "--coding" in err
 
-    def test_budget_error_is_three(self, capsys):
-        code, _, err = run(capsys, "gen", "--preset", "grigorchuk",
-                           "--length", "4096", "--budget", "64")
-        assert code == 3 and "budget" in err.lower()
+    @pytest.mark.parametrize("argv, message", [
+        (("gen", "--preset", "grigorchuk", "--length", "4096", "--budget", "64"),
+         "budget"),
+        (("repetitivity", "--preset", "grigorchuk", "--max-len", "40",
+          "--budget", "100"),
+         "|p(6)| = 127 exceeds the budget of 100 symbols"),
+    ], ids=["gen", "repetitivity"])
+    def test_budget_error_is_three(self, capsys, argv, message):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and message in err.lower()
 
     def test_horizon_error_is_three(self, capsys):
         code, _, err = run(capsys, "repetitivity", "--coding", "| @liuqu(16)",

@@ -3,14 +3,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toeplitz.coding import (
     Alphabet,
     Coding,
     CodingEntry,
     GeneratorTail,
+    PeriodicTail,
     kappa,
     m_sequence,
+    normalize,
 )
 from toeplitz.errors import OutOfTheoremRange
 from toeplitz.language import language
@@ -44,19 +48,29 @@ class TestGrigorchukFormula:
                 assert repetitivity_formula(grig, L) == want
 
 
+@st.composite
+def periodic_codings(draw) -> Coding:
+    """Normalized codings: alphabet 2-4, periods 2-3, preperiod <= 2, tail 2-4."""
+    alphabet = Alphabet.from_names("abcd"[:draw(st.integers(2, 4))])
+    entries = st.builds(CodingEntry, st.sampled_from(alphabet.letters),
+                        st.integers(2, 3))
+    pre = draw(st.lists(entries, max_size=2))
+    tail = draw(st.lists(entries, min_size=2, max_size=4))
+    assume(len({e.letter for e in tail}) >= 2)
+    return normalize(Coding(alphabet, tuple(pre), PeriodicTail(tuple(tail))))
+
+
 class TestOracle:
     def test_grigorchuk_length_one(self, grig):
         assert repetitivity_oracle(grig, 1) == 16
-        # sharpness: some window of length 15 omits a letter entirely
-        fifteen = language(grig, 15)
-        letters = {bytes([l.id]) for l in grig.alphabet}
-        assert any(
-            any(l not in w for l in letters) for w in fifteen
-        )
-        assert all(
-            all(l in w for l in letters)
-            for w in language(grig, 16)
-        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=periodic_codings(), length=st.integers(1, 3))
+    def test_oracle_is_the_least_containing_window(self, c, length):
+        r = repetitivity_oracle(c, length)
+        inner = language(c, length).words
+        assert all(all(w in u for w in inner) for u in language(c, r))
+        assert any(any(w not in u for w in inner) for u in language(c, r - 1))
 
     def test_matches_formula_on_three_bands(self, grig):
         for L in range(3, 17):
