@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +55,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="cyclic period pattern for generator tails (comma separated)",
     )
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="symbol budget for materialized words")
+                        help="symbol budget for materialized words and "
+                             "finite-section matrix entries")
     parser.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; has no effect")
 
@@ -241,6 +243,8 @@ def _parse_coeff(cfg: RunConfig, qspec: str, pspec: str) -> spectral.Coefficient
                 raise ValueError(f"{flag}: bad assignment {item!r}")
             name, raw = item.split("=", 1)
             value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(f"{flag}: {name} must be finite, got {raw!r}")
             if name == "const":
                 values = [value] * len(cfg.coding.alphabet)
             else:
@@ -257,11 +261,15 @@ def _cmd_spectrum(cfg: RunConfig, args) -> int:
     if args.energies:
         try:
             lo, hi, steps = args.energies.split(":")
-            grid = spectral.energy_grid(float(lo), float(hi), int(steps))
+            lo, hi, steps = float(lo), float(hi), int(steps)
         except ValueError:
             raise ValueError(
                 f"--energies: expected lo:hi:steps, got {args.energies!r}"
             ) from None
+        grid = spectral.energy_grid(lo, hi, steps)
+        if steps < 1 or not all(map(math.isfinite, (lo, hi, *grid))):
+            raise ValueError("--energies: need steps >= 1 and finite "
+                             f"energies, got {args.energies!r}")
         n = 4096 if args.lyapunov is None else args.lyapunov
         estimates = spectral.lyapunov_over_grid(cfg.coding, coeff, grid, n,
                                                 cfg.budget)

@@ -30,6 +30,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .coding import Alphabet, Coding
+from .errors import BudgetExceeded
 from .words import DEFAULT_BUDGET, word_prefix
 
 Number = Union[int, float, Fraction]
@@ -248,8 +249,14 @@ def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
 
     The matrix is real symmetric tridiagonal; a dense symmetric
     eigensolver is exact enough at desk scales (N <= a few thousand).
+    Its N * N entries count against `budget`.
     """
     _warn_if_degenerate(coeff)
+    if size >= 2 and size * size > budget:
+        raise BudgetExceeded(
+            f"a {size} x {size} finite section exceeds the budget of "
+            f"{budget} matrix entries"
+        )
     diag, off = finite_section(c, coeff, size, budget)
     matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     eigenvalues = np.linalg.eigvalsh(matrix)
@@ -270,6 +277,57 @@ def energy_grid(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def lyapunov_over_grid(c: Coding, coeff: CoefficientMap,
-                       energies: Sequence[float], n: int,
+                       energies: Sequence[Number], n: int,
                        budget: int = DEFAULT_BUDGET) -> list[LyapunovEstimate]:
-    return [lyapunov_estimate(c, coeff, E, n, budget) for E in energies]
+    """`lyapunov_estimate` at every energy, from one walk along the word.
+
+    The four entries of the running products are numpy arrays indexed by
+    energy.  Each step repeats the float operations of
+    `TransferMatrix.__matmul__` in the same order, the renormalization
+    scale is Python's `max` of the four `abs` values and its log comes from
+    `math.log` (np.log may differ from libm in the last ulp), so every value
+    and sample equals the scalar loop's exactly.
+    """
+    if n < 1:
+        raise IndexError("lyapunov estimates need n >= 1")
+    _warn_if_degenerate(coeff)
+    grid = [float(E) for E in energies]
+    if not grid:
+        return []
+    word = word_prefix(c, n + 2, budget)
+    checkpoints = sorted({max(1, n // 4), max(1, n // 2), n})
+    e_array = np.array(grid)
+    steps = {}  # letter pair -> ((E - q1) / p2 over the grid, -p1 / p2)
+    for first, second in set(zip(word[1:], word[2:])):
+        p1, p2 = float(coeff.p(first)), float(coeff.p(second))
+        steps[first, second] = (e_array - float(coeff.q(first))) / p2, -p1 / p2
+    ma, mb = np.ones_like(e_array), np.zeros_like(e_array)
+    mc, md = np.zeros_like(e_array), np.ones_like(e_array)
+    log_scale = [0.0] * len(grid)
+    samples: list[list[tuple[int, float]]] = [[] for _ in grid]
+    # Python floats overflow to inf and nan silently; so do these arrays
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            sa, sb = steps[word[k + 1], word[k + 2]]
+            ma, mb, mc, md = (sa * ma + sb * mc, sa * mb + sb * md,
+                              1.0 * ma + 0.0 * mc, 1.0 * mb + 0.0 * md)
+            if (k + 1) % RENORM_EVERY == 0:
+                # as max(): an entry replaces the scale only if it is greater
+                scale = np.abs(ma)
+                for entry in (mb, mc, md):
+                    magnitude = np.abs(entry)
+                    scale = np.where(magnitude > scale, magnitude, scale)
+                positive = scale > 0
+                for entry in (ma, mb, mc, md):
+                    np.divide(entry, scale, out=entry, where=positive)
+                scales = scale.tolist()
+                for i in np.flatnonzero(positive).tolist():
+                    log_scale[i] += math.log(scales[i])
+            if k + 1 in checkpoints:
+                rows = zip(ma.tolist(), mb.tolist(), mc.tolist(), md.tolist())
+                for i, entries in enumerate(rows):
+                    norm = TransferMatrix(*entries).operator_norm()
+                    log_norm = math.log(max(norm, 1e-300))
+                    samples[i].append((k + 1, (log_scale[i] + log_norm) / (k + 1)))
+    return [LyapunovEstimate(E, n, s[-1][1], tuple(s))
+            for E, s in zip(grid, samples)]

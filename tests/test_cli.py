@@ -90,7 +90,10 @@ class TestExitCodes:
         (("repetitivity", "--preset", "grigorchuk", "--max-len", "40",
           "--budget", "100"),
          "|p(6)| = 127 exceeds the budget of 100 symbols"),
-    ], ids=["gen", "repetitivity"])
+        (("spectrum", "--preset", "grigorchuk", "--size", "64",
+          "--budget", "1000"),
+         "a 64 x 64 finite section exceeds the budget of 1000 matrix entries"),
+    ], ids=["gen", "repetitivity", "spectrum"])
     def test_budget_error_is_three(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)
         assert code == 3 and message in err.lower()
@@ -109,6 +112,19 @@ class TestExitCodes:
         code, out, err = run(capsys, "spectrum", "--preset", "grigorchuk",
                              "--energies", "0:1:2", "--lyapunov", "0")
         assert code == 2 and out == "" and "n >= 1" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--energies", "0:1:0"), ("--energies", "0:1:-4"),
+        ("--energies", "nan:1:3"), ("--energies", "0:inf:3"),
+        ("--q", "a=nan"), ("--p", "const=inf"),
+    ])
+    def test_bad_spectrum_numbers_are_usage_errors(self, capsys, flag, value):
+        argv = {"--energies": "0:1:2", "--q": "const=0", "--p": "const=1"}
+        argv[flag] = value
+        code, out, err = run(capsys, "spectrum", "--preset", "grigorchuk",
+                             "--lyapunov", "8",
+                             *(f"{k}={v}" for k, v in argv.items()))
+        assert code == 2 and out == "" and f"{flag}:" in err
 
     def test_bosh_has_no_json_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

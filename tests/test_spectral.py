@@ -7,12 +7,16 @@ from fractions import Fraction
 
 import pytest
 
+from toeplitz.presets import preset
 from toeplitz.spectral import (
+    RENORM_EVERY,
     CoefficientMap,
     TransferMatrix,
+    energy_grid,
     finite_section,
     finite_section_spectrum,
     lyapunov_estimate,
+    lyapunov_over_grid,
     spectral_bounds,
     step_matrix,
     transfer_cocycle,
@@ -123,6 +127,26 @@ class TestLyapunov:
         est = lyapunov_estimate(grig, grig_coeff, 8.0, 1 << 16)
         assert math.isfinite(est.value) and est.value > 1.0
 
+    @pytest.mark.parametrize("p", [None, {"a": 1.5, "x": 0.5, "y": 2.5,
+                                          "z": 1.25}], ids=["unit-p", "varied-p"])
+    @pytest.mark.parametrize("coding", ["grigorchuk", "l-grigorchuk(1,3)"])
+    def test_grid_equals_scalar_loop(self, coding, p):
+        c = preset(coding)
+        coeff = CoefficientMap.from_names(
+            c.alphabet, q={"a": 0, "x": 1, "y": 2, "z": 3}, p=p)
+        lo, hi = spectral_bounds(coeff)
+        grid = energy_grid(lo - 1.0, hi + 1.0, 19)
+        n = 1000
+        assert n % RENORM_EVERY
+        got = lyapunov_over_grid(c, coeff, grid, n)
+        # exact: energies, values and samples, not approx
+        assert got == [lyapunov_estimate(c, coeff, E, n) for E in grid]
+
+    def test_grid_edge_cases(self, grig, grig_coeff):
+        assert lyapunov_over_grid(grig, grig_coeff, [], 64) == []
+        with pytest.raises(IndexError):
+            lyapunov_over_grid(grig, grig_coeff, [0.0], 0)
+
 
 class TestFiniteSections:
     def test_two_site_free_section(self, grig, free_coeff):
@@ -180,3 +204,6 @@ class TestCoefficientMap:
     def test_degenerate_map_warns(self, grig, free_coeff):
         with pytest.warns(UserWarning, match="identical"):
             finite_section_spectrum(grig, free_coeff, 4)
+        with pytest.warns(UserWarning, match="identical") as record:
+            lyapunov_over_grid(grig, free_coeff, [0.0, 0.5, 1.0], 8)
+        assert len(record) == 1 and record[0].filename == __file__
