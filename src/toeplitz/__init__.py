@@ -33,7 +33,7 @@ from .errors import (
     ToeplitzError,
     WordNotInLanguage,
 )
-from .language import LanguageSet, language, right_extensions
+from .language import LanguageSet, right_extensions
 from .presets import grigorchuk, l_grigorchuk, liuqu, parse_coding_spec, preset
 from .verdicts import Status, Verdict
 from .words import UndeterminedPart, block, block_length, undetermined_part, word_prefix
@@ -46,7 +46,7 @@ __all__ = [
     "m_sequence", "normalize", "stabilization_index", "tail_alphabet",
     "AllLettersEqual", "BudgetExceeded", "EmptyCoding", "HorizonExceeded",
     "InvalidShift", "OutOfTheoremRange", "PrefixTooShort", "ToeplitzError",
-    "WordNotInLanguage", "LanguageSet", "language", "right_extensions",
+    "WordNotInLanguage", "LanguageSet", "right_extensions",
     "grigorchuk", "l_grigorchuk", "liuqu", "parse_coding_spec", "preset",
     "Status", "Verdict", "UndeterminedPart", "block", "block_length",
     "undetermined_part", "word_prefix",

@@ -21,15 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from .coding import (
     Coding,
     eventual_alphabet,
+    jump_indices,
     kappa,
-    m_cycle,
-    m_sequence,
     period_product,
+    verdict_jumps,
 )
 from .errors import PrefixTooShort
 from .language import language
@@ -46,21 +47,20 @@ class BoshWitness:
     product: int
 
 
+def _witness_product(c: Coding, m: int) -> int:
+    return period_product(c, m + 1, kappa(c, m - 1))
+
+
 def bosh_products(c: Coding, horizon: int) -> list[BoshWitness]:
     """prod_{j = m_i + 1}^{kappa(m_i - 1) - 1} n_j for i = 1..horizon."""
-    out = []
-    for i in range(1, horizon + 1):
-        m = m_sequence(c, i)
-        out.append(BoshWitness(i, period_product(c, m + 1, kappa(c, m - 1))))
-    return out
+    jumps = islice(jump_indices(c), 1, None)
+    return [BoshWitness(i, _witness_product(c, m))
+            for i, m in zip(range(1, horizon + 1), jumps)]
 
 
-def _liminf_criterion_exact(c: Coding) -> Status:
+def _liminf_criterion_exact(c: Coding, jumps, cycle) -> Status:
     """|A_ev| = 3 specialization: (B) iff liminf_i n_{m_i+1} < infinity."""
-    start, cycle = m_cycle(c)
-    values = [
-        c.period(m_sequence(c, i) + 1) for i in range(start, start + cycle)
-    ]
+    values = [c.period(m + 1) for m in jumps[cycle[0] - 1:sum(cycle) - 1]]
     return Status.SATISFIED if min(values) < float("inf") else Status.VIOLATED
 
 
@@ -84,16 +84,13 @@ def bosh_verdict(c: Coding, horizon: int = 12) -> BoshVerdict:
     carries the trend of the scanned products.
     """
     ev3 = len(eventual_alphabet(c)) == 3
-    if c.is_exact:
-        start, cycle = m_cycle(c)
-        count = max(horizon, start + cycle)
-        products = tuple(w.product for w in bosh_products(c, count))
-        verdict = Verdict(Status.SATISFIED, "exact", products,
-                          period=(start, cycle))
-        return BoshVerdict(verdict, _liminf_criterion_exact(c) if ev3 else None)
+    jumps, cycle = verdict_jumps(c, horizon)
+    products = tuple(_witness_product(c, m) for m in jumps)
+    if cycle is not None:
+        verdict = Verdict(Status.SATISFIED, "exact", products, period=cycle)
+        liminf = _liminf_criterion_exact(c, jumps, cycle) if ev3 else None
+        return BoshVerdict(verdict, liminf)
 
-    witnesses = bosh_products(c, horizon)
-    products = tuple(w.product for w in witnesses)
     seen_at: dict[int, list[int]] = {}
     for pos, value in enumerate(products):
         seen_at.setdefault(value, []).append(pos)

@@ -55,8 +55,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="cyclic period pattern for generator tails (comma separated)",
     )
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="symbol budget for materialized words and "
-                             "finite-section matrix entries")
+                        help="symbol budget for materialized words, "
+                             "finite-section matrix entries and the "
+                             "energies of a spectrum --energies grid")
     parser.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; has no effect")
 
@@ -80,6 +81,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(args.command, coding, args.budget)
     if args.jobs <= 0:
         raise ValueError("--jobs: must be positive")
+    if getattr(args, "max_len", 0) < 0:
+        raise ValueError("--max-len: must be >= 0")
+    if getattr(args, "horizon", 1) < 1:
+        raise ValueError("--horizon: must be >= 1")
     return cfg
 
 
@@ -192,14 +197,20 @@ def _verdict_payload(status: Status, kind: str, witness, period, trend) -> dict:
 def _cmd_repetitivity(cfg: RunConfig, args) -> int:
     if not args.max_len and args.alpha is None:
         raise ValueError("--max-len: required unless --alpha is given")
+    if args.alpha is not None:
+        try:
+            alpha = Fraction(args.alpha)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"--alpha: expected a rational number, got {args.alpha!r}"
+            ) from None
     if args.max_len:
         rows = repetitivity.report(cfg.coding, args.max_len, cfg.budget)
         _write_csv(args.csv, "L,formula,oracle",
                    [f"{r.length},{_csv_cell(r.formula)},{r.oracle}"
                     for r in rows])
     if args.alpha is not None:
-        av = repetitivity.alpha_verdict(cfg.coding, Fraction(args.alpha),
-                                        args.horizon)
+        av = repetitivity.alpha_verdict(cfg.coding, alpha, args.horizon)
         payload = _verdict_payload(av.status, av.kind, av.products,
                                    av.period, av.trend)
         payload["alpha"] = str(av.alpha)
@@ -266,13 +277,25 @@ def _cmd_spectrum(cfg: RunConfig, args) -> int:
             raise ValueError(
                 f"--energies: expected lo:hi:steps, got {args.energies!r}"
             ) from None
+        bad = ValueError("--energies: need steps >= 1 and finite "
+                         f"energies, got {args.energies!r}")
+        if steps < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
+            raise bad
+        if steps > cfg.budget:
+            raise BudgetExceeded(f"--energies: a grid of {steps} energies "
+                                 f"exceeds the budget of {cfg.budget}")
         grid = spectral.energy_grid(lo, hi, steps)
-        if steps < 1 or not all(map(math.isfinite, (lo, hi, *grid))):
-            raise ValueError("--energies: need steps >= 1 and finite "
-                             f"energies, got {args.energies!r}")
+        if not all(map(math.isfinite, grid)):
+            raise bad
         n = 4096 if args.lyapunov is None else args.lyapunov
-        estimates = spectral.lyapunov_over_grid(cfg.coding, coeff, grid, n,
-                                                cfg.budget)
+        try:
+            estimates = spectral.lyapunov_over_grid(cfg.coding, coeff, grid, n,
+                                                    cfg.budget)
+        except OverflowError:
+            raise ValueError(
+                "--energies: the cocycle overflows a float at these energies; "
+                "use smaller energies"
+            ) from None
         _write_csv(args.csv, "E,lyapunov",
                    [f"{repr(e.energy)},{repr(e.value)}" for e in estimates])
         return 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import count, islice
 from typing import Iterator, Union
 
 from .errors import AllLettersEqual, EmptyCoding, HorizonExceeded
@@ -115,6 +115,12 @@ class GeneratorTail:
     def __post_init__(self):
         if not self.entries:
             raise EmptyCoding("generator tail materialized no entries")
+        if self.recurrent is not None and any(
+                e.letter.id not in self.recurrent for e in self.entries):
+            raise ValueError(
+                f"generator '{self.name}' emitted letters outside its "
+                "declared recurrent alphabet"
+            )
 
     @property
     def horizon(self) -> int:
@@ -275,16 +281,13 @@ def normalize(raw: Coding) -> Coding:
     return out
 
 
-@lru_cache(maxsize=4096)
 def tail_alphabet(c: Coding, k: int) -> TailAlphabet:
     """A_k = {a_j : j >= k}, certified exactly or via the generator contract."""
     if k < 0:
         raise IndexError("tail alphabet index must be >= 0")
-    pre = c.preperiod
-    rest = {e.letter for e in pre[k:]}
+    rest = {e.letter for e in c.preperiod[k:]}
     if isinstance(c.tail, PeriodicTail):
-        letters = rest | {e.letter for e in c.tail.entries}
-        return TailAlphabet(k, frozenset(letters))
+        return TailAlphabet(k, frozenset(rest | {e.letter for e in c.tail.entries}))
     if c.tail.recurrent is None:
         raise HorizonExceeded(
             f"generator '{c.tail.name}' declares no recurrent alphabet; "
@@ -292,13 +295,6 @@ def tail_alphabet(c: Coding, k: int) -> TailAlphabet:
             horizon=c.horizon,
         )
     recurrent = {c.alphabet[i] for i in c.tail.recurrent}
-    start = max(0, k - len(pre))
-    seen = {e.letter for e in c.tail.entries[start:]}
-    if not seen <= recurrent:
-        raise ValueError(
-            f"generator '{c.tail.name}' emitted letters outside its "
-            "declared recurrent alphabet"
-        )
     return TailAlphabet(k, frozenset(rest | recurrent))
 
 
@@ -319,7 +315,6 @@ def stabilization_index(c: Coding) -> int:
     return n_ev
 
 
-@lru_cache(maxsize=65536)
 def kappa(c: Coding, k: int) -> int:
     """kappa(k) = min{j > k : {a_{k+1}, ..., a_j} = A_{k+1}}."""
     target = tail_alphabet(c, k + 1).ids
@@ -331,20 +326,22 @@ def kappa(c: Coding, k: int) -> int:
     return j
 
 
-@lru_cache(maxsize=1024)
-def _m_prefix(c: Coding, count: int) -> tuple[int, ...]:
-    ms = [0]
-    while len(ms) <= count:
-        k = ms[-1] + 1
-        level = kappa(c, ms[-1])
-        while kappa(c, k) <= level:
-            k += 1
-        ms.append(k)
-    return tuple(ms)
+def jump_indices(c: Coding) -> Iterator[int]:
+    """m_0 = 0 and then the successive indices where kappa strictly increases.
+
+    One forward walk over k; it ends only where kappa does (a generator
+    horizon raises HorizonExceeded).
+    """
+    level = kappa(c, 0)
+    yield 0
+    for k in count(1):
+        if (top := kappa(c, k)) > level:
+            level = top
+            yield k
 
 
 def m_sequence(c: Coding, i: int) -> int:
-    """m_0 = 0 and then the successive indices where kappa strictly increases.
+    """m_i, the i-th value of `jump_indices`.
 
     Once the tail alphabet has stabilized this coincides with the backward
     recursion m_{i+1} = max{j <= kappa(m_i) : {a_j..a_{kappa(m_i)}} = A_{m_i+1}};
@@ -354,7 +351,7 @@ def m_sequence(c: Coding, i: int) -> int:
     """
     if i < 0:
         raise IndexError("m-sequence index must be >= 0")
-    return _m_prefix(c, i)[i]
+    return next(islice(jump_indices(c), i, None))
 
 
 def m_cycle(c: Coding) -> tuple[int, int]:
@@ -370,17 +367,27 @@ def m_cycle(c: Coding) -> tuple[int, int]:
     pre_len = len(c.preperiod)
     t = len(c.tail.entries)
     seen: dict[int, int] = {}
-    i = 1
-    while True:
-        m = m_sequence(c, i)
+    for i, m in enumerate(islice(jump_indices(c), 1, None), start=1):
         if m >= pre_len + 1:
             res = (m - pre_len) % t
             if res in seen:
                 return seen[res], i - seen[res]
             seen[res] = i
-        i += 1
-        if i > 4 * (pre_len + t) + 8:
+        if i + 1 > 4 * (pre_len + t) + 8:
             raise AssertionError("m-cycle detector exceeded its guaranteed bound")
+
+
+def verdict_jumps(c: Coding, horizon: int
+                  ) -> tuple[tuple[int, ...], Union[tuple[int, int], None]]:
+    """(m_1, ..., m_size) for a verdict, and the m-cycle (None if inexact).
+
+    size is `horizon` on generator tails and max(horizon, start + length)
+    on periodic ones, so an exact verdict sees at least one whole cycle.
+    """
+    cycle = m_cycle(c) if c.is_exact else None
+    size = horizon if cycle is None else max(horizon, sum(cycle))
+    jumps = islice(jump_indices(c), 1, None)
+    return tuple(m for _, m in zip(range(size), jumps)), cycle
 
 
 def scaled_length(c: Coding, k: int) -> int:

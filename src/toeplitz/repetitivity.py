@@ -23,15 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Union
 
 from .coding import (
     Coding,
+    jump_indices,
     kappa,
     log_scaled_length,
-    m_cycle,
-    m_sequence,
     period_product,
+    verdict_jumps,
 )
 from .errors import OutOfTheoremRange
 from .language import enclosing_words, language
@@ -39,29 +40,30 @@ from .verdicts import Status, Verdict, trend_of
 from .words import DEFAULT_BUDGET, block_length, governing_level, occurrences
 
 
+def _band_start(c: Coding, m: int) -> int:
+    """First length of the formula band that starts at jump index m."""
+    return block_length(c, m) - block_length(c, m - 1) + 1
+
+
 def _band_index(c: Coding, length: int) -> int:
-    """The i >= 1 whose formula band contains `length`."""
-
-    def band_start(i: int) -> int:
-        m = m_sequence(c, i)
-        return block_length(c, m) - block_length(c, m - 1) + 1
-
-    if length < band_start(1):
+    """The m_i, i >= 1, whose formula band contains `length`."""
+    jumps = islice(jump_indices(c), 1, None)
+    m = next(jumps)
+    if length < _band_start(c, m):
         raise OutOfTheoremRange(
-            f"formula valid only for L >= {band_start(1)}, got {length}"
+            f"formula valid only for L >= {_band_start(c, m)}, got {length}"
         )
-    i = 1
-    while band_start(i + 1) <= length:
-        i += 1
-    return i
+    for m_next in jumps:
+        if _band_start(c, m_next) > length:
+            return m
+        m = m_next
 
 
 def repetitivity_formula(c: Coding, length: int) -> int:
     """Closed-form R(length) within the theorem's validity range."""
     if length < 1:
         raise IndexError("repetitivity lengths start at 1")
-    i = _band_index(c, length)
-    m = m_sequence(c, i)
+    m = _band_index(c, length)
     top = 2 * block_length(c, kappa(c, m) - 1) + 1
     if length <= block_length(c, m) + 1:
         return top - block_length(c, m) + block_length(c, m - 1) + length
@@ -70,8 +72,7 @@ def repetitivity_formula(c: Coding, length: int) -> int:
 
 def formula_valid_from(c: Coding) -> int:
     """First length covered by the closed formula."""
-    m1 = m_sequence(c, 1)
-    return block_length(c, m1) - block_length(c, m1 - 1) + 1
+    return _band_start(c, next(islice(jump_indices(c), 1, None)))
 
 
 def _longest_free(host: bytes, word: bytes) -> int:
@@ -129,10 +130,9 @@ class AlphaVerdict:
     horizon: Optional[int] = None  # jump indices scanned on generator tails
 
 
-def _witness_samples(c: Coding, count: int):
+def _witness_samples(c: Coding, jumps):
     log_ratios, products, gaps = [], [], []
-    for i in range(1, count + 1):
-        m = m_sequence(c, i)
+    for m in jumps:
         top = kappa(c, m)
         products.append(period_product(c, m + 1, top))
         gaps.append(top - m)
@@ -152,14 +152,12 @@ def alpha_verdict(c: Coding, alpha: Union[int, Fraction],
     alpha = Fraction(alpha)
     if alpha < 1:
         raise ValueError("alpha-repetitivity is defined for alpha >= 1")
-    if c.is_exact:
-        start, cycle = m_cycle(c)
-        count = max(horizon, start + cycle)
-        log_ratios, products, gaps = _witness_samples(c, count)
+    jumps, cycle = verdict_jumps(c, horizon)
+    log_ratios, products, gaps = _witness_samples(c, jumps)
+    if cycle is not None:
         status = Status.SATISFIED if alpha == 1 else Status.VIOLATED
         return AlphaVerdict(alpha, "exact", status, log_ratios, products,
-                            gaps, period=(start, cycle))
-    log_ratios, products, gaps = _witness_samples(c, horizon)
+                            gaps, period=cycle)
     return AlphaVerdict(alpha, "horizon-estimate", Status.INCONCLUSIVE,
                         log_ratios, products, gaps,
                         trend=trend_of(log_ratios), horizon=horizon)

@@ -14,21 +14,11 @@ are bytes of letter ids (alphabets are capped at 255 letters).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .coding import Coding, scaled_length
 from .errors import BudgetExceeded, InvalidShift
 
 DEFAULT_BUDGET = 1 << 24
-
-
-@lru_cache(maxsize=512)
-def _block(c: Coding, k: int) -> bytes:
-    if k == 0:
-        return bytes([c.letter(0).id]) * (c.period(0) - 1)
-    prev = _block(c, k - 1)
-    chunk = prev + bytes([c.letter(k).id])
-    return chunk * (c.period(k) - 1) + prev
 
 
 def block(c: Coding, k: int, budget: int = DEFAULT_BUDGET) -> bytes:
@@ -40,7 +30,10 @@ def block(c: Coding, k: int, budget: int = DEFAULT_BUDGET) -> bytes:
         raise BudgetExceeded(
             f"|p({k})| = {length} exceeds the budget of {budget} symbols"
         )
-    return _block(c, k)
+    out = bytes([c.letter(0).id]) * (c.period(0) - 1)
+    for j in range(1, k + 1):
+        out = (out + bytes([c.letter(j).id])) * (c.period(j) - 1) + out
+    return out
 
 
 def block_length(c: Coding, k: int) -> int:

@@ -93,7 +93,10 @@ class TestExitCodes:
         (("spectrum", "--preset", "grigorchuk", "--size", "64",
           "--budget", "1000"),
          "a 64 x 64 finite section exceeds the budget of 1000 matrix entries"),
-    ], ids=["gen", "repetitivity", "spectrum"])
+        (("spectrum", "--preset", "grigorchuk", "--energies", "0:1:101",
+          "--lyapunov", "8", "--budget", "100"),
+         "--energies: a grid of 101 energies exceeds the budget of 100"),
+    ], ids=["gen", "repetitivity", "spectrum", "energies"])
     def test_budget_error_is_three(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)
         assert code == 3 and message in err.lower()
@@ -125,6 +128,36 @@ class TestExitCodes:
                              "--lyapunov", "8",
                              *(f"{k}={v}" for k, v in argv.items()))
         assert code == 2 and out == "" and f"{flag}:" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("repetitivity", "--preset", "grigorchuk", "--alpha", "1/0"),
+         "--alpha:"),
+        (("spectrum", "--preset", "grigorchuk", "--energies", "1e12:1e12:1",
+          "--lyapunov", "100"),
+         "--energies:"),
+    ], ids=["alpha-zero-denominator", "cocycle-overflow"])
+    def test_arithmetic_errors_are_usage_errors(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and flag in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("complexity", "--max-len", "-1"), "--max-len:"),
+        (("palindrome", "--max-len", "-1"), "--max-len:"),
+        (("repetitivity", "--max-len", "-1"), "--max-len:"),
+        (("repetitivity", "--alpha", "1", "--horizon", "0"), "--horizon:"),
+        (("bosh", "--horizon", "-4"), "--horizon:"),
+        (("bosh", "--horizon", "0"), "--horizon:"),
+    ], ids=["complexity", "palindrome", "repetitivity", "alpha-horizon",
+            "bosh-negative-horizon", "bosh-zero-horizon"])
+    def test_out_of_range_counts_are_usage_errors(self, capsys, argv, flag):
+        command, *rest = argv
+        code, out, err = run(capsys, command, "--preset", "liuqu", *rest)
+        assert code == 2 and out == "" and flag in err
+
+    def test_zero_max_len_means_no_repetitivity_table(self, capsys):
+        code, out, _ = run(capsys, "repetitivity", "--preset", "grigorchuk",
+                           "--max-len", "0", "--alpha", "1")
+        assert code == 0 and json.loads(out)["verdict"] == "satisfied"
 
     def test_bosh_has_no_json_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

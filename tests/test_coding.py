@@ -106,6 +106,12 @@ class TestTailAlphabet:
         with pytest.raises(HorizonExceeded):
             tail_alphabet(c, 0)
 
+    def test_generator_letter_outside_recurrent_refuses_at_build(self):
+        ab = Alphabet.from_names("xyz")
+        leaky = entries(ab, [("x", 2), ("y", 2)] * 4 + [("z", 2)])
+        with pytest.raises(ValueError, match="outside its declared recurrent"):
+            GeneratorTail("leaky", leaky, recurrent=frozenset({0, 1}))
+
 
 class TestKappa:
     def test_grigorchuk_shift_by_three(self, grig):

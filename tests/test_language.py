@@ -17,6 +17,14 @@ def words_of(c, length):
     return {c.alphabet.render(w) for w in language(c, length)}
 
 
+def test_submodule_import_binds_the_module():
+    import sys
+
+    import toeplitz.language as module
+
+    assert module is sys.modules["toeplitz.language"]
+
+
 class TestLanguage:
     def test_empty_word_level(self, grig):
         assert language(grig, 0).words == (b"",)
