@@ -56,6 +56,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="symbol budget for materialized words, "
+                             "the states of the --check oracles, "
                              "finite-section matrix entries and the "
                              "energies of a spectrum --energies grid")
     parser.add_argument("--jobs", type=int, default=1,
@@ -204,6 +205,9 @@ def _cmd_repetitivity(cfg: RunConfig, args) -> int:
             raise ValueError(
                 f"--alpha: expected a rational number, got {args.alpha!r}"
             ) from None
+        if alpha < 1:
+            raise ValueError("--alpha: alpha-repetitivity is defined for "
+                             f"alpha >= 1, got {args.alpha!r}")
     if args.max_len:
         rows = repetitivity.report(cfg.coding, args.max_len, cfg.budget)
         _write_csv(args.csv, "L,formula,oracle",
@@ -221,6 +225,9 @@ def _cmd_repetitivity(cfg: RunConfig, args) -> int:
 
 
 def _cmd_bosh(cfg: RunConfig, args) -> int:
+    for flag, value in (("--eta", args.eta), ("--prefix", args.prefix)):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag}: must be >= 0")
     bv = boshernitzan.bosh_verdict(cfg.coding, args.horizon)
     payload = _verdict_payload(bv.verdict.status, bv.verdict.kind,
                                bv.verdict.witness, bv.verdict.period,

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .coding import Coding, eventual_alphabet, stabilization_index, tail_alphabet
-from .language import language
+from .language import factor_counts
 from .words import DEFAULT_BUDGET, block_length, governing_level
 
 
@@ -148,11 +148,9 @@ class ComplexityRow:
 def profile(c: Coding, max_length: int, with_oracle: bool = False,
             budget: int = DEFAULT_BUDGET) -> list[ComplexityRow]:
     """Per-L table of formula, growth and (optionally) oracle counts."""
-    rows = []
-    for length in range(max_length + 1):
-        oracle = len(language(c, length, budget)) if with_oracle else None
-        rows.append(
-            ComplexityRow(length, complexity_formula(c, length),
-                          growth_formula(c, length), oracle)
-        )
-    return rows
+    counts = factor_counts(c, max_length, budget) if with_oracle else None
+    return [
+        ComplexityRow(L, complexity_formula(c, L), growth_formula(c, L),
+                      None if counts is None else counts[L])
+        for L in range(max_length + 1)
+    ]

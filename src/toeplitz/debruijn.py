@@ -7,7 +7,7 @@ prefix u1 and suffix v1 of the governing block p(k), occasionally with a
 secondary branch vertex v2 (suffix of p(k-1) a_{k-1} p(k-1)).  Reversal of
 words is a graph anti-automorphism; its fixed vertices are exactly the
 palindromes, which yields a closed palindrome-count formula checked here
-against direct enumeration.
+against an eertree over the enclosing words and against direct enumeration.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coding import Alphabet, Coding, tail_alphabet
-from .language import host_word, language
+from .language import host_word, language, palindrome_counts
 from .words import DEFAULT_BUDGET, block, block_length, governing_level
 
 
@@ -162,6 +162,7 @@ def palindrome_formula(c: Coding, length: int) -> int:
 
 def palindrome_oracle(c: Coding, length: int,
                       budget: int = DEFAULT_BUDGET) -> int:
+    """Palindromes among language(length): the per-L reference for the eertree."""
     return sum(1 for w in language(c, length, budget) if w == w[::-1])
 
 
@@ -174,12 +175,11 @@ class PalindromeRow:
 
 def palindrome_profile(c: Coding, max_length: int, with_oracle: bool = False,
                        budget: int = DEFAULT_BUDGET) -> list[PalindromeRow]:
-    """Per-L palindrome counts by formula and (optionally) by enumeration."""
+    """Per-L palindrome counts by formula and (optionally) by the eertree."""
+    counts = palindrome_counts(c, max_length, budget) if with_oracle else None
     return [
-        PalindromeRow(
-            L, palindrome_formula(c, L),
-            palindrome_oracle(c, L, budget) if with_oracle else None,
-        )
+        PalindromeRow(L, palindrome_formula(c, L),
+                      None if counts is None else counts[L])
         for L in range(1, max_length + 1)
     ]
 

@@ -1,12 +1,15 @@
-"""Shared fixtures: named codings and the randomized periodic battery."""
+"""Shared fixtures: named codings, the randomized periodic battery and a
+hypothesis strategy for normalized periodic codings."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from toeplitz.coding import Alphabet, Coding, CodingEntry, PeriodicTail
+from toeplitz.coding import Alphabet, Coding, CodingEntry, PeriodicTail, normalize
 from toeplitz.presets import grigorchuk, liuqu, parse_coding_spec
 
 BATTERY_SEED = 20250808
@@ -39,6 +42,18 @@ def random_periodic_coding(rng: random.Random) -> Coding:
         CodingEntry(alphabet[l], n) for l, n in zip(ids, periods[pre_len:])
     ))
     return Coding(alphabet, pre, tail)
+
+
+@st.composite
+def periodic_codings(draw) -> Coding:
+    """Normalized codings: alphabet 2-4, periods 2-3, preperiod <= 2, tail 2-4."""
+    alphabet = Alphabet.from_names("abcd"[:draw(st.integers(2, 4))])
+    entries = st.builds(CodingEntry, st.sampled_from(alphabet.letters),
+                        st.integers(2, 3))
+    pre = draw(st.lists(entries, max_size=2))
+    tail = draw(st.lists(entries, min_size=2, max_size=4))
+    assume(len({e.letter for e in tail}) >= 2)
+    return normalize(Coding(alphabet, tuple(pre), PeriodicTail(tuple(tail))))
 
 
 def make_battery(count: int = BATTERY_SIZE, seed: int = BATTERY_SEED):

@@ -25,7 +25,7 @@ from toeplitz.debruijn import (
     reflection_fixed_points,
     right_special_report,
 )
-from toeplitz.language import language
+from toeplitz.language import factor_counts, language, palindrome_counts
 from toeplitz.repetitivity import (
     alpha_verdict,
     repetitivity_formula,
@@ -100,6 +100,17 @@ def test_criterion_2_randomized_formula_battery(battery):
                 if L >= 1:
                     pal = sum(1 for w in lang if w == w[::-1])
                     assert palindrome_formula(c, L) == pal, (c.spec_string(), L)
+            longest = block_length(c, 5) + 1
+            factors = factor_counts(c, longest)
+            palindromes = palindrome_counts(c, longest)
+            for L in range(longest + 1):
+                assert complexity_formula(c, L) == factors[L], (c.spec_string(), L)
+                if L < longest:
+                    assert growth_formula(c, L) == factors[L + 1] - factors[L], \
+                        (c.spec_string(), L)
+                if L >= 1:
+                    assert palindrome_formula(c, L) == palindromes[L], \
+                        (c.spec_string(), L)
 
 
 def test_criterion_3_debruijn_structure(battery):

@@ -96,7 +96,15 @@ class TestExitCodes:
         (("spectrum", "--preset", "grigorchuk", "--energies", "0:1:101",
           "--lyapunov", "8", "--budget", "100"),
          "--energies: a grid of 101 energies exceeds the budget of 100"),
-    ], ids=["gen", "repetitivity", "spectrum", "energies"])
+        (("complexity", "--preset", "grigorchuk", "--check", "--max-len", "40",
+          "--budget", "100"),
+         "the suffix automaton needs up to 762 states, which exceeds the "
+         "budget of 100"),
+        (("palindrome", "--preset", "grigorchuk", "--check", "--max-len", "40",
+          "--budget", "100"),
+         "the eertree needs up to 383 states, which exceeds the budget of 100"),
+    ], ids=["gen", "repetitivity", "spectrum", "energies", "complexity",
+            "palindrome"])
     def test_budget_error_is_three(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)
         assert code == 3 and message in err.lower()
@@ -147,12 +155,27 @@ class TestExitCodes:
         (("repetitivity", "--alpha", "1", "--horizon", "0"), "--horizon:"),
         (("bosh", "--horizon", "-4"), "--horizon:"),
         (("bosh", "--horizon", "0"), "--horizon:"),
+        (("bosh", "--eta", "2", "--prefix", "-5"), "--prefix:"),
+        (("bosh", "--eta", "-1", "--prefix", "100"), "--eta:"),
     ], ids=["complexity", "palindrome", "repetitivity", "alpha-horizon",
-            "bosh-negative-horizon", "bosh-zero-horizon"])
+            "bosh-negative-horizon", "bosh-zero-horizon", "bosh-negative-prefix",
+            "bosh-negative-eta"])
     def test_out_of_range_counts_are_usage_errors(self, capsys, argv, flag):
         command, *rest = argv
         code, out, err = run(capsys, command, "--preset", "liuqu", *rest)
         assert code == 2 and out == "" and flag in err
+
+    def test_short_eta_prefix_is_three(self, capsys):
+        code, out, err = run(capsys, "bosh", "--preset", "grigorchuk",
+                             "--eta", "2", "--prefix", "5")
+        assert code == 3 and out == "" and "got 5" in err
+
+    def test_alpha_below_one_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "repetitivity", "--preset", "grigorchuk",
+                             "--max-len", "4", "--alpha", "1/2")
+        assert code == 2 and out == ""
+        assert err == ("toeplitz repetitivity: --alpha: alpha-repetitivity is "
+                       "defined for alpha >= 1, got '1/2'\n")
 
     def test_zero_max_len_means_no_repetitivity_table(self, capsys):
         code, out, _ = run(capsys, "repetitivity", "--preset", "grigorchuk",

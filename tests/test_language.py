@@ -1,12 +1,19 @@
 """Exact factor enumeration and its self-consistency properties."""
 
 import pytest
+from conftest import periodic_codings
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toeplitz.coding import kappa, tail_alphabet
-from toeplitz.errors import WordNotInLanguage
+from toeplitz.complexity import complexity_formula
+from toeplitz.debruijn import palindrome_formula, palindrome_oracle
+from toeplitz.errors import BudgetExceeded, WordNotInLanguage
 from toeplitz.language import (
+    factor_counts,
     governing_level,
     language,
+    palindrome_counts,
     prefix_factor_set,
     right_extensions,
 )
@@ -86,3 +93,38 @@ class TestRightExtensions:
         aa = bytes([grig.alphabet.by_name("a").id]) * 2
         with pytest.raises(WordNotInLanguage):
             right_extensions(grig, aa)
+
+
+class TestOnePassOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(c=periodic_codings(), max_len=st.integers(0, 24))
+    def test_counts_equal_the_per_length_oracles(self, c, max_len):
+        factors = factor_counts(c, max_len)
+        palindromes = palindrome_counts(c, max_len)
+        assert factors == [len(language(c, L)) for L in range(max_len + 1)]
+        assert palindromes == [palindrome_oracle(c, L)
+                               for L in range(max_len + 1)]
+
+    def test_grigorchuk_matches_the_formulas(self, grig):
+        factors = factor_counts(grig, 1000)
+        palindromes = palindrome_counts(grig, 1000)
+        assert factors == [complexity_formula(grig, L) for L in range(1001)]
+        assert palindromes[1:] == [palindrome_formula(grig, L)
+                                   for L in range(1, 1001)]
+
+    def test_length_zero_is_the_empty_word(self, grig):
+        assert factor_counts(grig, 0) == palindrome_counts(grig, 0) == [1]
+
+    def test_negative_length_rejected(self, grig):
+        for oracle in (factor_counts, palindrome_counts):
+            with pytest.raises(IndexError):
+                oracle(grig, -1)
+
+    def test_states_count_against_the_budget(self, grig):
+        # L = 40 needs the hosts p(5) a p(5), a in {x, y, z}: 3 * 127 symbols
+        with pytest.raises(BudgetExceeded, match="up to 762 states"):
+            factor_counts(grig, 40, budget=761)
+        with pytest.raises(BudgetExceeded, match="up to 383 states"):
+            palindrome_counts(grig, 40, budget=382)
+        assert factor_counts(grig, 40, budget=762)[40] == \
+            complexity_formula(grig, 40)

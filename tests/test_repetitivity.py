@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from conftest import periodic_codings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toeplitz.coding import (
@@ -11,10 +12,8 @@ from toeplitz.coding import (
     Coding,
     CodingEntry,
     GeneratorTail,
-    PeriodicTail,
     kappa,
     m_sequence,
-    normalize,
 )
 from toeplitz.errors import OutOfTheoremRange
 from toeplitz.language import language
@@ -46,18 +45,6 @@ class TestGrigorchukFormula:
             for L in range(2 ** i + 1, 2 ** (i + 1) + 1):
                 want = 2 ** (i + 4) - 2 ** (i + 1) + 2 ** i - 1 + L
                 assert repetitivity_formula(grig, L) == want
-
-
-@st.composite
-def periodic_codings(draw) -> Coding:
-    """Normalized codings: alphabet 2-4, periods 2-3, preperiod <= 2, tail 2-4."""
-    alphabet = Alphabet.from_names("abcd"[:draw(st.integers(2, 4))])
-    entries = st.builds(CodingEntry, st.sampled_from(alphabet.letters),
-                        st.integers(2, 3))
-    pre = draw(st.lists(entries, max_size=2))
-    tail = draw(st.lists(entries, min_size=2, max_size=4))
-    assume(len({e.letter for e in tail}) >= 2)
-    return normalize(Coding(alphabet, tuple(pre), PeriodicTail(tuple(tail))))
 
 
 class TestOracle:
