@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 formula/oracle check mismatch, 2 usage error,
 3 budget or horizon exhaustion.  All outputs are deterministic: words are
 sorted, JSON keys are sorted and floats use repr.  Every scan runs serially;
 the worker-count flag is accepted for compatibility and has no effect.
+Only `spectrum` imports `toeplitz.spectral`, and with it numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import boshernitzan, complexity, debruijn, repetitivity, spectral
+from . import boshernitzan, complexity, debruijn, repetitivity
 from .coding import Coding
 from .errors import (
     BudgetExceeded,
@@ -93,7 +94,11 @@ def _write(path: Optional[str], text: str) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+        with fh:
             fh.write(text)
 
 
@@ -250,7 +255,9 @@ def _cmd_bosh(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _parse_coeff(cfg: RunConfig, qspec: str, pspec: str) -> spectral.CoefficientMap:
+def _parse_coeff(cfg: RunConfig, qspec: str, pspec: str
+                 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The (p, q) values per letter id from the --p and --q maps."""
     def parse_one(spec: str, flag: str, default: float) -> list[float]:
         values = [default] * len(cfg.coding.alphabet)
         for item in spec.split(","):
@@ -260,22 +267,36 @@ def _parse_coeff(cfg: RunConfig, qspec: str, pspec: str) -> spectral.Coefficient
             if "=" not in item:
                 raise ValueError(f"{flag}: bad assignment {item!r}")
             name, raw = item.split("=", 1)
-            value = float(raw)
+            try:
+                value = float(raw)
+            except ValueError:
+                raise ValueError(
+                    f"{flag}: {name} must be a number, got {raw!r}"
+                ) from None
             if not math.isfinite(value):
                 raise ValueError(f"{flag}: {name} must be finite, got {raw!r}")
             if name == "const":
                 values = [value] * len(cfg.coding.alphabet)
             else:
-                values[cfg.coding.alphabet.by_name(name).id] = value
+                try:
+                    letter = cfg.coding.alphabet.by_name(name)
+                except KeyError:
+                    raise ValueError(
+                        f"{flag}: unknown letter {name!r} in {item!r}"
+                    ) from None
+                values[letter.id] = value
         return values
 
     q = parse_one(qspec, "--q", 0.0)
     p = parse_one(pspec, "--p", 1.0)
-    return spectral.CoefficientMap(cfg.coding.alphabet, tuple(p), tuple(q))
+    return tuple(p), tuple(q)
 
 
 def _cmd_spectrum(cfg: RunConfig, args) -> int:
-    coeff = _parse_coeff(cfg, args.q, args.p)
+    from . import spectral
+
+    coeff = spectral.CoefficientMap(cfg.coding.alphabet,
+                                    *_parse_coeff(cfg, args.q, args.p))
     if args.energies:
         try:
             lo, hi, steps = args.energies.split(":")

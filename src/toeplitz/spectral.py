@@ -251,13 +251,13 @@ def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
     eigensolver is exact enough at desk scales (N <= a few thousand).
     Its N * N entries count against `budget`.
     """
-    _warn_if_degenerate(coeff)
     if size >= 2 and size * size > budget:
         raise BudgetExceeded(
             f"a {size} x {size} finite section exceeds the budget of "
             f"{budget} matrix entries"
         )
     diag, off = finite_section(c, coeff, size, budget)
+    _warn_if_degenerate(coeff)
     matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     eigenvalues = np.linalg.eigvalsh(matrix)
     return SpectrumApproximation(size, tuple(float(v) for v in eigenvalues))

@@ -1,6 +1,8 @@
 """CLI behavior: outputs, exit codes, error context."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +13,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `script` in a new interpreter, so imports and warnings start clean."""
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, check=False)
 
 
 class TestGen:
@@ -128,6 +136,7 @@ class TestExitCodes:
         ("--energies", "0:1:0"), ("--energies", "0:1:-4"),
         ("--energies", "nan:1:3"), ("--energies", "0:inf:3"),
         ("--q", "a=nan"), ("--p", "const=inf"),
+        ("--q", "w=1"), ("--p", "w=2"), ("--q", "a=foo"),
     ])
     def test_bad_spectrum_numbers_are_usage_errors(self, capsys, flag, value):
         argv = {"--energies": "0:1:2", "--q": "const=0", "--p": "const=1"}
@@ -136,6 +145,31 @@ class TestExitCodes:
                              "--lyapunov", "8",
                              *(f"{k}={v}" for k, v in argv.items()))
         assert code == 2 and out == "" and f"{flag}:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--preset", "grigorchuk", "--length", "10", "--out"),
+        ("complexity", "--preset", "grigorchuk", "--max-len", "3", "--csv"),
+        ("debruijn", "--preset", "grigorchuk", "-L", "2", "--dot"),
+        ("debruijn", "--preset", "grigorchuk", "-L", "2", "--json"),
+        ("spectrum", "--preset", "grigorchuk", "--q", "a=0,x=1", "--size", "4",
+         "--csv"),
+    ], ids=["out", "csv", "dot", "json", "spectrum-csv"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, argv,
+                                              target):
+        path = str(tmp_path / "missing" / "x" if target == "missing-dir"
+                   else tmp_path)
+        code, out, err = run(capsys, *argv, path)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err and path in err
+
+    def test_rejected_size_prints_only_the_error(self):
+        proc = run_fresh(
+            "import sys; from toeplitz.cli import main; sys.exit(main(sys.argv[1:]))",
+            "spectrum", "--preset", "grigorchuk", "--size", "0")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "toeplitz spectrum: finite sections need size >= 2"]
 
     @pytest.mark.parametrize("argv, flag", [
         (("repetitivity", "--preset", "grigorchuk", "--alpha", "1/0"),
@@ -260,3 +294,30 @@ class TestReports:
         assert code == 0
         assert out.splitlines() == ["grigorchuk", "l-grigorchuk(l1,l2,...)",
                                     "liuqu"]
+
+
+class TestImports:
+    def test_only_spectrum_imports_numpy(self):
+        commands = [
+            ["presets"],
+            ["gen", "--preset", "grigorchuk", "--length", "16"],
+            ["language", "--preset", "grigorchuk", "-L", "3"],
+            ["complexity", "--preset", "grigorchuk", "--max-len", "8", "--check"],
+            ["palindrome", "--preset", "grigorchuk", "--max-len", "8", "--check"],
+            ["debruijn", "--preset", "grigorchuk", "-L", "3"],
+            ["repetitivity", "--preset", "grigorchuk", "--alpha", "1"],
+            ["bosh", "--preset", "grigorchuk", "--eta", "2", "--prefix", "64"],
+            ["spectrum", "--preset", "grigorchuk", "--size", "4"],
+        ]
+        proc = run_fresh(
+            "import json, sys\n"
+            "from toeplitz.cli import main\n"
+            "seen = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    code = main(argv)\n"
+            "    seen.append([argv[0], code, 'numpy' in sys.modules])\n"
+            "print(json.dumps(seen), file=sys.stderr)\n",
+            json.dumps(commands))
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stderr.splitlines()[-1])
+        assert seen == [[argv[0], 0, argv[0] == "spectrum"] for argv in commands]
