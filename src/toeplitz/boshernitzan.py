@@ -10,8 +10,9 @@ stays bounded, and it suffices to look along the kappa-jump positions m_i.
 Periodic tails make that witness sequence eventually periodic, so (B) is
 always satisfied there and the verdict is exact.  Generator tails get a
 horizon-qualified verdict only.  When |A_ev| = 3 the product criterion
-collapses to liminf_i n_{m_i + 1} < infinity, which is reported alongside
-as a consistency check.
+collapses to liminf_i n_{m_i + 1} < infinity; the sequence n_{m_i + 1} is
+judged by the same bounded-subsequence rule as the products and reported
+alongside as a consistency check.
 
 eta itself is estimated empirically from letter frequencies in a long
 prefix; the invariant measure is never represented.
@@ -21,13 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Optional
 
 from .coding import (
     Coding,
     eventual_alphabet,
-    jump_indices,
     kappa,
     period_product,
     verdict_jumps,
@@ -39,72 +38,47 @@ from .words import (DEFAULT_BUDGET, block_length, governing_level, occurrences,
                     word_prefix)
 
 
-@dataclass(frozen=True)
-class BoshWitness:
-    """The bounded-subsequence witness at jump index i."""
+@dataclass(frozen=True, kw_only=True)
+class BoshVerdict(Verdict):
+    """The (B) verdict on the witness products, one per jump index m_i."""
 
-    index: int
-    product: int
-
-
-def _witness_product(c: Coding, m: int) -> int:
-    return period_product(c, m + 1, kappa(c, m - 1))
-
-
-def bosh_products(c: Coding, horizon: int) -> list[BoshWitness]:
-    """prod_{j = m_i + 1}^{kappa(m_i - 1) - 1} n_j for i = 1..horizon."""
-    jumps = islice(jump_indices(c), 1, None)
-    return [BoshWitness(i, _witness_product(c, m))
-            for i, m in zip(range(1, horizon + 1), jumps)]
-
-
-def _liminf_criterion_exact(c: Coding, jumps, cycle) -> Status:
-    """|A_ev| = 3 specialization: (B) iff liminf_i n_{m_i+1} < infinity."""
-    values = [c.period(m + 1) for m in jumps[cycle[0] - 1:sum(cycle) - 1]]
-    return Status.SATISFIED if min(values) < float("inf") else Status.VIOLATED
-
-
-@dataclass(frozen=True)
-class BoshVerdict:
-    verdict: Verdict
     liminf_criterion: Optional[Status]  # only for |A_ev| = 3
 
-    @property
-    def status(self) -> Status:
-        return self.verdict.status
+
+def _bounded_evidence(values: tuple, cycle) -> Verdict:
+    """Bounded-subsequence evidence for `values` sampled at the jump indices.
+
+    On a periodic tail (`cycle` set) the sequence is eventually periodic,
+    so the answer is an exact yes.  Otherwise a value recurring into the
+    last half of the scan counts as detected evidence; without one the
+    verdict is inconclusive.  A horizon estimate carries the values' trend.
+    """
+    if cycle is not None:
+        return Verdict(Status.SATISFIED, "exact", values, period=cycle)
+    first: dict[int, int] = {}
+    for pos, value in enumerate(values):
+        first.setdefault(value, pos)
+    half = len(values) // 2
+    recurring = any(first[value] < pos
+                    for pos, value in enumerate(values[half:], half))
+    status = Status.SATISFIED if recurring else Status.INCONCLUSIVE
+    return Verdict(status, "horizon-estimate", values, trend=trend_of(values))
 
 
 def bosh_verdict(c: Coding, horizon: int = 12) -> BoshVerdict:
     """Decide (B) exactly for periodic tails, horizon-qualified otherwise.
 
-    A periodic tail makes the witness products eventually periodic, hence a
-    bounded subsequence always exists and (B) holds.  For generator tails a
-    value recurring into the last half of the scan counts as detected
-    bounded-subsequence evidence; otherwise the verdict is inconclusive and
-    carries the trend of the scanned products.
+    The witness products prod_{j = m_i + 1}^{kappa(m_i - 1) - 1} n_j go
+    through `_bounded_evidence`; when |A_ev| = 3 so do the periods
+    n_{m_i + 1}, and that status is the `liminf_criterion`.
     """
     ev3 = len(eventual_alphabet(c)) == 3
     jumps, cycle = verdict_jumps(c, horizon)
-    products = tuple(_witness_product(c, m) for m in jumps)
-    if cycle is not None:
-        verdict = Verdict(Status.SATISFIED, "exact", products, period=cycle)
-        liminf = _liminf_criterion_exact(c, jumps, cycle) if ev3 else None
-        return BoshVerdict(verdict, liminf)
-
-    seen_at: dict[int, list[int]] = {}
-    for pos, value in enumerate(products):
-        seen_at.setdefault(value, []).append(pos)
-    recurring = any(
-        len(positions) >= 2 and positions[-1] >= len(products) // 2
-        for positions in seen_at.values()
-    )
-    if recurring:
-        verdict = Verdict(Status.SATISFIED, "horizon-estimate", products,
-                          trend=trend_of(products), horizon=horizon)
-    else:
-        verdict = Verdict(Status.INCONCLUSIVE, "horizon-estimate", products,
-                          trend=trend_of(products), horizon=horizon)
-    return BoshVerdict(verdict, None)
+    verdict = _bounded_evidence(
+        tuple(period_product(c, m + 1, kappa(c, m - 1)) for m in jumps), cycle)
+    liminf = _bounded_evidence(tuple(c.period(m + 1) for m in jumps),
+                               cycle).status if ev3 else None
+    return BoshVerdict(**vars(verdict), liminf_criterion=liminf)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .language import language
 from .presets import PRESET_NAMES, parse_coding_spec, preset
-from .verdicts import Status
+from .verdicts import Verdict
 from .words import DEFAULT_BUDGET, word_prefix
 
 CHECK_MISMATCH = 1
@@ -39,7 +39,6 @@ RESOURCE_ERROR = 3
 class RunConfig:
     """One resolved invocation: exactly one coding source plus bounds."""
 
-    command: str
     coding: Coding
     budget: int
 
@@ -80,7 +79,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         coding = parse_coding_spec(args.coding, periods)
     else:
         coding = preset(args.preset, periods)
-    cfg = RunConfig(args.command, coding, args.budget)
+    cfg = RunConfig(coding, args.budget)
     if args.jobs <= 0:
         raise ValueError("--jobs: must be positive")
     if getattr(args, "max_len", 0) < 0:
@@ -190,13 +189,13 @@ def _cmd_debruijn(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _verdict_payload(status: Status, kind: str, witness, period, trend) -> dict:
+def _verdict_payload(v: Verdict) -> dict:
     return {
-        "verdict": status.value,
-        "kind": kind,
-        "witness": list(witness),
-        "period": None if period is None else list(period),
-        "trend": trend,
+        "verdict": v.status.value,
+        "kind": v.kind,
+        "witness": list(v.witness),
+        "period": None if v.period is None else list(v.period),
+        "trend": v.trend,
     }
 
 
@@ -220,8 +219,7 @@ def _cmd_repetitivity(cfg: RunConfig, args) -> int:
                     for r in rows])
     if args.alpha is not None:
         av = repetitivity.alpha_verdict(cfg.coding, alpha, args.horizon)
-        payload = _verdict_payload(av.status, av.kind, av.products,
-                                   av.period, av.trend)
+        payload = _verdict_payload(av)
         payload["alpha"] = str(av.alpha)
         payload["kappa_gaps"] = list(av.kappa_gaps)
         payload["log_ratios"] = [repr(x) for x in av.log_ratios]
@@ -234,9 +232,7 @@ def _cmd_bosh(cfg: RunConfig, args) -> int:
         if value is not None and value < 0:
             raise ValueError(f"{flag}: must be >= 0")
     bv = boshernitzan.bosh_verdict(cfg.coding, args.horizon)
-    payload = _verdict_payload(bv.verdict.status, bv.verdict.kind,
-                               bv.verdict.witness, bv.verdict.period,
-                               bv.verdict.trend)
+    payload = _verdict_payload(bv)
     payload["liminf_criterion"] = (
         None if bv.liminf_criterion is None else bv.liminf_criterion.value
     )
@@ -406,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cocycle steps per energy")
     p.add_argument("--csv", default=None)
 
-    p = sub.add_parser("presets", help="list the preset registry")
-    p.set_defaults(no_coding=True)
+    sub.add_parser("presets", help="list the preset registry")
 
     return parser
 

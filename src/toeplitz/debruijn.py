@@ -261,10 +261,11 @@ def to_dot(graph: DeBruijnGraph) -> str:
         name = alphabet.render(v)
         shape = ' shape=doublecircle' if v in special else ""
         lines.append(f'  "{name}" [label="{name}"{shape}];')
+    vertex_set = set(graph.vertices)
     seen_pairs = set()
     for v in graph.vertices:
         mirror = v[::-1]
-        if mirror != v and mirror in set(graph.vertices):
+        if mirror != v and mirror in vertex_set:
             pair = tuple(sorted((v, mirror)))
             if pair not in seen_pairs:
                 seen_pairs.add(pair)

@@ -34,6 +34,7 @@ from .coding import (
 from .errors import EmptyCoding
 
 _TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9_]*):(\d+)$")
+_REFERENCE = re.compile(r"^([A-Za-z][A-Za-z0-9_-]*)(?:\((.*)\))?$")
 
 DEFAULT_GENERATOR_HORIZON = 512
 
@@ -51,6 +52,8 @@ def _liuqu_letters(count: int) -> list[str]:
 def liuqu(horizon: int = DEFAULT_GENERATOR_HORIZON,
           periods: Sequence[int] = (2,)) -> Coding:
     """The four-letter coding whose subshift never satisfies condition (B)."""
+    if horizon < 1:
+        raise ValueError(f"liuqu needs at least one entry, got {horizon}")
     alphabet = Alphabet.from_names("abcd")
     cycle = itertools.cycle(periods)
     entries = tuple(
@@ -86,7 +89,25 @@ def l_grigorchuk(*ls: int) -> Coding:
     return Coding(alphabet, pre, PeriodicTail(tail))
 
 
+# name -> builder(horizon, periods=...) for `@name` and `@name(horizon)`
 GENERATORS: dict[str, Callable[..., Coding]] = {"liuqu": liuqu}
+
+
+def _parse_reference(text: str, flag: str) -> tuple[str, list[int]]:
+    """Split `name` or `name(i,j,...)` into the name and its arguments.
+
+    Every argument is a positive integer: l-grigorchuk exponents and
+    generator horizons alike.
+    """
+    m = _REFERENCE.match(text.strip())
+    if not m:
+        raise ValueError(f"{flag}: bad reference {text!r}")
+    name, argtext = m.groups()
+    fields = argtext.split(",") if argtext else []
+    if not all(f.strip().isdecimal() and int(f) > 0 for f in fields):
+        raise ValueError(f"{flag}: arguments of {name} must be positive "
+                         f"integers, got {argtext!r}")
+    return name, [int(f) for f in fields]
 
 
 def _parse_entries(text: str, flag: str) -> list[tuple[str, int]]:
@@ -113,14 +134,13 @@ def parse_coding_spec(text: str, periods: Sequence[int] = (2,),
     right = right.strip()
 
     if right.startswith("@"):
-        m = re.match(r"^@([A-Za-z][A-Za-z0-9_-]*)(?:\((.*)\))?$", right)
-        if not m:
-            raise ValueError(f"{flag}: bad generator reference {right!r}")
-        name, argtext = m.group(1), m.group(2)
+        name, args = _parse_reference(right[1:], flag)
         if name not in GENERATORS:
             known = ", ".join(sorted(GENERATORS))
             raise ValueError(f"{flag}: unknown generator @{name} (known: {known})")
-        args = [int(a) for a in argtext.split(",")] if argtext else []
+        if len(args) > 1:
+            raise ValueError(f"{flag}: @{name} takes at most one argument, "
+                             f"the horizon, got {right!r}")
         base = GENERATORS[name](*args, periods=tuple(periods))
         if not pre_tokens:
             return normalize(base)
@@ -157,21 +177,15 @@ def parse_coding_spec(text: str, periods: Sequence[int] = (2,),
 
 def preset(name: str, periods: Sequence[int] = (2,)) -> Coding:
     """Resolve a preset name like `grigorchuk` or `l-grigorchuk(1,2)`."""
-    m = re.match(r"^([A-Za-z][A-Za-z0-9_-]*)(?:\((.*)\))?$", name.strip())
-    if not m:
-        raise ValueError(f"--preset: bad preset reference {name!r}")
-    base, argtext = m.group(1), m.group(2)
-    args = [int(a) for a in argtext.split(",")] if argtext else []
-    if base == "grigorchuk":
+    base, args = _parse_reference(name, "--preset")
+    if base == "grigorchuk" and not args:
         return grigorchuk()
-    if base == "l-grigorchuk":
+    if base == "l-grigorchuk" and args:
         return l_grigorchuk(*args)
-    if base == "liuqu":
+    if base == "liuqu" and len(args) <= 1:
         return liuqu(*args, periods=tuple(periods))
-    raise ValueError(
-        f"--preset: unknown preset {base!r} "
-        "(known: grigorchuk, l-grigorchuk(l1,l2,...), liuqu)"
-    )
+    raise ValueError(f"--preset: unknown preset {name.strip()!r} "
+                     f"(known: {', '.join(PRESET_NAMES)})")
 
 
 PRESET_NAMES = ("grigorchuk", "l-grigorchuk(l1,l2,...)", "liuqu")

@@ -16,7 +16,9 @@ between occurrences in the hosts p(K) a p(K) (the return-word view).
 
 A subshift is alpha-repetitive when 0 < limsup_i (n_0...n_{kappa(m_i)-1}) /
 (n_0...n_{m_i})^alpha < infinity; alpha = 1 (linear repetitivity) reduces to
-boundedness of prod_{j=m_i+1}^{kappa(m_i)-1} n_j.
+boundedness of prod_{j=m_i+1}^{kappa(m_i)-1} n_j.  `alpha_verdict` returns
+one `Verdict` record whose witness is that product sequence, so its verdict
+at alpha = 1 is the linear-repetitivity verdict.
 """
 
 from __future__ import annotations
@@ -109,25 +111,21 @@ def repetitivity_oracle(c: Coding, length: int,
         window = need
 
 
-@dataclass(frozen=True)
-class AlphaVerdict:
+@dataclass(frozen=True, kw_only=True)
+class AlphaVerdict(Verdict):
     """Alpha-repetitivity decision with its sampled witness sequences.
 
-    `log_ratios` are log(n_0...n_{kappa(m_i)-1}) / log(n_0...n_{m_i}): the
-    exponent alpha at which the criterion ratio would be constant.
-    `products` are the linear-repetitivity witnesses
-    prod_{j=m_i+1}^{kappa(m_i)-1} n_j and `kappa_gaps` are kappa(m_i) - m_i.
+    `witness` holds the linear-repetitivity witnesses
+    prod_{j=m_i+1}^{kappa(m_i)-1} n_j, so the verdict at alpha = 1 is the
+    linear-repetitivity verdict.  `log_ratios` are
+    log(n_0...n_{kappa(m_i)-1}) / log(n_0...n_{m_i}): the exponent alpha at
+    which the criterion ratio would be constant; their trend is the `trend`
+    of a horizon estimate.  `kappa_gaps` are kappa(m_i) - m_i.
     """
 
     alpha: Fraction
-    kind: str
-    status: Status
     log_ratios: tuple[float, ...]
-    products: tuple[int, ...]
     kappa_gaps: tuple[int, ...]
-    period: Optional[tuple[int, int]] = None
-    trend: Optional[str] = None
-    horizon: Optional[int] = None  # jump indices scanned on generator tails
 
 
 def _witness_samples(c: Coding, jumps):
@@ -156,17 +154,13 @@ def alpha_verdict(c: Coding, alpha: Union[int, Fraction],
     log_ratios, products, gaps = _witness_samples(c, jumps)
     if cycle is not None:
         status = Status.SATISFIED if alpha == 1 else Status.VIOLATED
-        return AlphaVerdict(alpha, "exact", status, log_ratios, products,
-                            gaps, period=cycle)
-    return AlphaVerdict(alpha, "horizon-estimate", Status.INCONCLUSIVE,
-                        log_ratios, products, gaps,
-                        trend=trend_of(log_ratios), horizon=horizon)
-
-
-def linear_repetitivity_verdict(c: Coding, horizon: int = 12) -> Verdict:
-    """Linear repetitivity = alpha-repetitivity at alpha = 1."""
-    av = alpha_verdict(c, 1, horizon)
-    return Verdict(av.status, av.kind, av.products, av.period, av.trend)
+        kind, trend = "exact", None
+    else:
+        status, kind = Status.INCONCLUSIVE, "horizon-estimate"
+        trend = trend_of(log_ratios)
+    return AlphaVerdict(status=status, kind=kind, witness=products,
+                        period=cycle, trend=trend, alpha=alpha,
+                        log_ratios=log_ratios, kappa_gaps=gaps)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Periodic-tail codings admit exact verdicts: every witness sequence indexed
 by the kappa-jump positions is eventually periodic, so limsups reduce to a
 maximum over one detected cycle.  Generator-backed codings only ever earn
 horizon-qualified verdicts; asymptotic claims are never made from a finite
-scan.
+scan.  `Verdict` is the one record: the (B) and alpha-repetitivity verdicts
+subclass it with their extra witnesses.
 """
 
 from __future__ import annotations
@@ -45,4 +46,3 @@ class Verdict:
     witness: tuple
     period: Optional[tuple[int, int]] = None  # (start index, cycle length)
     trend: Optional[str] = None
-    horizon: Optional[int] = None

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from toeplitz.coding import Alphabet, Coding, CodingEntry, PeriodicTail, normalize
+from toeplitz.coding import (Alphabet, Coding, CodingEntry, GeneratorTail,
+                             PeriodicTail, normalize)
 from toeplitz.presets import grigorchuk, liuqu, parse_coding_spec
 
 BATTERY_SEED = 20250808
@@ -54,6 +55,19 @@ def periodic_codings(draw) -> Coding:
     tail = draw(st.lists(entries, min_size=2, max_size=4))
     assume(len({e.letter for e in tail}) >= 2)
     return normalize(Coding(alphabet, tuple(pre), PeriodicTail(tuple(tail))))
+
+
+def squaring_coding() -> Coding:
+    """Three-letter generator cycle (kappa gap 3) with n_{j+1} = n_j^2.
+
+    The telescoped alpha = 4 criterion ratio is the constant n_0 * n_1 = 8.
+    """
+    alphabet = Alphabet.from_names("xyz")
+    entries = tuple(
+        CodingEntry(alphabet[j % 3], 2 ** (2 ** j)) for j in range(14)
+    )
+    return Coding(alphabet, (), GeneratorTail("squaring", entries,
+                                              recurrent=frozenset(range(3))))
 
 
 def make_battery(count: int = BATTERY_SIZE, seed: int = BATTERY_SEED):

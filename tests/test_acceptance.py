@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from toeplitz.boshernitzan import bosh_products, bosh_verdict
+from toeplitz.boshernitzan import bosh_verdict
 from toeplitz.coding import eventual_alphabet, kappa, m_sequence, scaled_length
 from toeplitz.complexity import complexity_formula, growth_formula
 from toeplitz.debruijn import (
@@ -173,15 +173,15 @@ def test_criterion_5_boshernitzan(grig, battery, liu_qu):
         for c in battery:
             bv = bosh_verdict(c)
             assert bv.status is Status.SATISFIED, c.spec_string()
-            start, cycle = bv.verdict.period
-            witness = bv.verdict.witness
+            start, cycle = bv.period
+            witness = bv.witness
             assert len(witness) >= start + cycle
             for i in range(start, len(witness) - cycle + 1):
                 assert witness[i - 1] == witness[i - 1 + cycle], c.spec_string()
             if len(eventual_alphabet(c)) == 3:
                 assert bv.liminf_criterion is bv.status
         lq = bosh_verdict(liu_qu, horizon=8)
-        products = [w.product for w in bosh_products(liu_qu, 8)]
+        products = bosh_verdict(liu_qu, 8).witness[:8]
         assert lq.status is Status.INCONCLUSIVE
         assert all(b > a for a, b in zip(products, products[1:]))
 

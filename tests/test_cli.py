@@ -39,6 +39,25 @@ class TestGen:
         assert code == 0 and out == "aa bb aa cc\n"
 
 
+def block(letters: str, periods) -> str:
+    """p(k) built directly: p(-1) is empty, p(j) = (p(j-1) a_j)^(n_j-1) p(j-1)."""
+    word = ""
+    for letter, n in zip(letters, periods):
+        word = (word + letter) * (n - 1) + word
+    return word
+
+
+class TestGeneratorTailsWithPreperiod:
+    # liuqu's letters are (ab) c (ab)^2 d (ab)^3 c ..., every period 2
+    @pytest.mark.parametrize("spec, letters, periods", [
+        ("e:3 | @liuqu", "eabcab", [3, 2, 2, 2, 2, 2]),  # |p(5)| = 95
+        ("a:3 | @liuqu", "abcab", [6, 2, 2, 2, 2]),      # a:3 a:2 -> a:6
+    ], ids=["new-letter", "junction-merge"])
+    def test_gen_matches_direct_blocks(self, capsys, spec, letters, periods):
+        code, out, _ = run(capsys, "gen", "--coding", spec, "--length", "95")
+        assert code == 0 and out == block(letters, periods) + "\n"
+
+
 class TestLanguage:
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "language", "--preset", "grigorchuk",
@@ -91,6 +110,21 @@ class TestExitCodes:
     def test_bad_spec_names_flag(self, capsys):
         code, _, err = run(capsys, "gen", "--coding", "a=2 | x:2", "--length", "2")
         assert code == 2 and "--coding" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--preset", "grigorchuk(5)"),
+        ("--preset", "l-grigorchuk(x)"),
+        ("--coding", "| @liuqu(x)"),
+        ("--preset", "liuqu(-1)"),
+        ("--coding", "| @liuqu(-1)"),
+        ("--preset", "liuqu(3,4)"),
+        ("--coding", "| @liuqu(3,4)"),
+    ], ids=["grigorchuk-arg", "l-grigorchuk-letter", "generator-letter",
+            "liuqu-negative", "generator-negative", "liuqu-two-args",
+            "generator-two-args"])
+    def test_bad_reference_names_flag(self, capsys, flag, value):
+        code, out, err = run(capsys, "gen", flag, value, "--length", "1")
+        assert code == 2 and out == "" and flag in err
 
     @pytest.mark.parametrize("argv, message", [
         (("gen", "--preset", "grigorchuk", "--length", "4096", "--budget", "64"),

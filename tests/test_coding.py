@@ -218,6 +218,21 @@ class TestPresets:
         assert ps == [2, 4, 2, 4, 2, 4] * 2
         assert {l.name for l in eventual_alphabet(c)} == set("xyz")
 
+    def test_generator_tail_with_new_preperiod_letter(self):
+        c = parse_coding_spec("e:3 | @liuqu")
+        assert [l.name for l in c.alphabet] == list("abcde")
+        assert c.tail.recurrent == frozenset({0, 1, 2, 3})
+        assert [(e.letter.name, e.period) for e in c.preperiod] == [("e", 3)]
+        assert [e.letter.name for e in c.tail.entries[:8]] == list("abcababd")
+
+    def test_generator_tail_merges_at_the_junction(self):
+        # the preperiod a:3 absorbs liuqu's leading a:2
+        c = parse_coding_spec("a:3 | @liuqu")
+        assert [l.name for l in c.alphabet] == list("abcd")
+        assert [(e.letter.name, e.period) for e in c.preperiod] == [("a", 6)]
+        assert [e.letter.name for e in c.tail.entries[:7]] == list("bcababd")
+        assert {e.period for e in c.tail.entries} == {2}
+
     def test_eventually_periodic_kappa_gaps(self, battery):
         # kappa(k) - k settles into a cycle once k is past the preperiod
         for c in battery[:10]:

@@ -3,24 +3,16 @@
 from fractions import Fraction
 
 import pytest
-from conftest import periodic_codings
+from conftest import periodic_codings, squaring_coding
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toeplitz.coding import (
-    Alphabet,
-    Coding,
-    CodingEntry,
-    GeneratorTail,
-    kappa,
-    m_sequence,
-)
+from toeplitz.coding import kappa, m_sequence
 from toeplitz.errors import OutOfTheoremRange
 from toeplitz.language import language
 from toeplitz.repetitivity import (
     alpha_verdict,
     formula_valid_from,
-    linear_repetitivity_verdict,
     repetitivity_formula,
     repetitivity_oracle,
     report,
@@ -128,7 +120,7 @@ class TestAlphaVerdicts:
 
     def test_battery_always_linearly_repetitive(self, battery):
         for c in battery:
-            verdict = linear_repetitivity_verdict(c)
+            verdict = alpha_verdict(c, 1)
             assert verdict.status is Status.SATISFIED
             assert verdict.kind == "exact"
             start, cycle = verdict.period
@@ -143,20 +135,9 @@ class TestAlphaVerdicts:
         assert len(av.log_ratios) == 8 and av.trend is not None
 
 
-def _squaring_coding() -> Coding:
-    # three-letter cycle (kappa gap 3) with n_{j+1} = n_j^2: the telescoped
-    # alpha = 4 criterion ratio is the constant n_0 * n_1 = 8
-    alphabet = Alphabet.from_names("xyz")
-    entries = tuple(
-        CodingEntry(alphabet[j % 3], 2 ** (2 ** j)) for j in range(14)
-    )
-    return Coding(alphabet, (), GeneratorTail("squaring", entries,
-                                              recurrent=frozenset(range(3))))
-
-
 class TestSquaringPeriods:
     def test_criterion_ratio_is_constant(self):
-        c = _squaring_coding()
+        c = squaring_coding()
         alpha = 4
         for i in range(1, 5):
             m = m_sequence(c, i)
@@ -169,7 +150,7 @@ class TestSquaringPeriods:
             assert num == 8 * den ** alpha
 
     def test_verdict_stays_horizon_qualified(self):
-        av = alpha_verdict(_squaring_coding(), 4, horizon=4)
+        av = alpha_verdict(squaring_coding(), 4, horizon=4)
         assert av.kind == "horizon-estimate"
         assert av.status is Status.INCONCLUSIVE
 
