@@ -12,9 +12,7 @@ from .coding import (
     Coding,
     CodingEntry,
     GeneratorTail,
-    Letter,
     PeriodicTail,
-    TailAlphabet,
     eventual_alphabet,
     kappa,
     m_sequence,
@@ -33,7 +31,7 @@ from .errors import (
     ToeplitzError,
     WordNotInLanguage,
 )
-from .language import LanguageSet, right_extensions
+from .language import right_extensions
 from .presets import grigorchuk, l_grigorchuk, liuqu, parse_coding_spec, preset
 from .verdicts import Status, Verdict
 from .words import UndeterminedPart, block, block_length, undetermined_part, word_prefix
@@ -41,12 +39,12 @@ from .words import UndeterminedPart, block, block_length, undetermined_part, wor
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "Coding", "CodingEntry", "GeneratorTail", "Letter",
-    "PeriodicTail", "TailAlphabet", "eventual_alphabet", "kappa",
-    "m_sequence", "normalize", "stabilization_index", "tail_alphabet",
+    "Alphabet", "Coding", "CodingEntry", "GeneratorTail", "PeriodicTail",
+    "eventual_alphabet", "kappa", "m_sequence", "normalize",
+    "stabilization_index", "tail_alphabet",
     "AllLettersEqual", "BudgetExceeded", "EmptyCoding", "HorizonExceeded",
     "InvalidShift", "OutOfTheoremRange", "PrefixTooShort", "ToeplitzError",
-    "WordNotInLanguage", "LanguageSet", "right_extensions",
+    "WordNotInLanguage", "right_extensions",
     "grigorchuk", "l_grigorchuk", "liuqu", "parse_coding_spec", "preset",
     "Status", "Verdict", "UndeterminedPart", "block", "block_length",
     "undetermined_part", "word_prefix",

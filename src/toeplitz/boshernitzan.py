@@ -109,7 +109,7 @@ def estimate_eta(c: Coding, length: int, prefix_length: int,
             f"got {prefix_length}"
         )
     prefix = word_prefix(c, prefix_length, budget)
-    words = language(c, length, budget).words
+    words = language(c, length, budget)
     totals = [len(occurrences(prefix, w)) for w in words]
     windows = prefix_length - length + 1
     worst = min(range(len(words)), key=lambda idx: totals[idx])

@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -35,18 +34,6 @@ USAGE_ERROR = 2
 RESOURCE_ERROR = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: exactly one coding source plus bounds."""
-
-    coding: Coding
-    budget: int
-
-    def __post_init__(self):
-        if self.budget <= 0:
-            raise ValueError("--budget: must be positive")
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--coding", help="coding spec, e.g. 'a:2 | x:2 y:2 z:2'")
     parser.add_argument("--preset", help="preset name, e.g. grigorchuk")
@@ -63,7 +50,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="accepted for compatibility; has no effect")
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
+def _resolve(args: argparse.Namespace) -> Coding:
     sources = [s for s in (args.coding, args.preset) if s]
     if len(sources) != 1:
         raise ValueError("--coding/--preset: exactly one coding source required")
@@ -79,14 +66,15 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         coding = parse_coding_spec(args.coding, periods)
     else:
         coding = preset(args.preset, periods)
-    cfg = RunConfig(coding, args.budget)
+    if args.budget <= 0:
+        raise ValueError("--budget: must be positive")
     if args.jobs <= 0:
         raise ValueError("--jobs: must be positive")
     if getattr(args, "max_len", 0) < 0:
         raise ValueError("--max-len: must be >= 0")
     if getattr(args, "horizon", 1) < 1:
         raise ValueError("--horizon: must be >= 1")
-    return cfg
+    return coding
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -105,15 +93,15 @@ def _emit_json(payload, path: Optional[str]) -> None:
     _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _cmd_gen(cfg: RunConfig, args) -> int:
-    prefix = word_prefix(cfg.coding, args.length, cfg.budget)
-    _write(args.out, cfg.coding.alphabet.render(prefix) + "\n")
+def _cmd_gen(c: Coding, args) -> int:
+    prefix = word_prefix(c, args.length, args.budget)
+    _write(args.out, c.alphabet.render(prefix) + "\n")
     return 0
 
 
-def _cmd_language(cfg: RunConfig, args) -> int:
-    lang = language(cfg.coding, args.length, cfg.budget)
-    rendered = [cfg.coding.alphabet.render(w) for w in lang.words]
+def _cmd_language(c: Coding, args) -> int:
+    lang = language(c, args.length, args.budget)
+    rendered = [c.alphabet.render(w) for w in lang]
     if args.json:
         _emit_json({"L": args.length, "count": len(rendered), "words": rendered},
                    args.out)
@@ -142,16 +130,15 @@ def _formula_vs_oracle(args, header: str, rows, line) -> int:
     return CHECK_MISMATCH if bad else 0
 
 
-def _cmd_complexity(cfg: RunConfig, args) -> int:
-    rows = complexity.profile(cfg.coding, args.max_len, args.check, cfg.budget)
+def _cmd_complexity(c: Coding, args) -> int:
+    rows = complexity.profile(c, args.max_len, args.check, args.budget)
     return _formula_vs_oracle(
         args, "L,formula,oracle,growth", rows,
         lambda r: f"{r.length},{r.formula},{_csv_cell(r.oracle)},{r.growth}")
 
 
-def _cmd_palindrome(cfg: RunConfig, args) -> int:
-    rows = debruijn.palindrome_profile(cfg.coding, args.max_len, args.check,
-                                       cfg.budget)
+def _cmd_palindrome(c: Coding, args) -> int:
+    rows = debruijn.palindrome_profile(c, args.max_len, args.check, args.budget)
     return _formula_vs_oracle(
         args, "L,formula,oracle", rows,
         lambda r: f"{r.length},{r.formula},{_csv_cell(r.oracle)}")
@@ -178,8 +165,8 @@ def _graph_payload(graph: debruijn.DeBruijnGraph) -> dict:
     }
 
 
-def _cmd_debruijn(cfg: RunConfig, args) -> int:
-    graph = debruijn.build_graph(cfg.coding, args.length, cfg.budget)
+def _cmd_debruijn(c: Coding, args) -> int:
+    graph = debruijn.build_graph(c, args.length, args.budget)
     if args.dot:
         _write(args.dot, debruijn.to_dot(graph))
     if args.json_out:
@@ -199,7 +186,7 @@ def _verdict_payload(v: Verdict) -> dict:
     }
 
 
-def _cmd_repetitivity(cfg: RunConfig, args) -> int:
+def _cmd_repetitivity(c: Coding, args) -> int:
     if not args.max_len and args.alpha is None:
         raise ValueError("--max-len: required unless --alpha is given")
     if args.alpha is not None:
@@ -213,12 +200,12 @@ def _cmd_repetitivity(cfg: RunConfig, args) -> int:
             raise ValueError("--alpha: alpha-repetitivity is defined for "
                              f"alpha >= 1, got {args.alpha!r}")
     if args.max_len:
-        rows = repetitivity.report(cfg.coding, args.max_len, cfg.budget)
+        rows = repetitivity.report(c, args.max_len, args.budget)
         _write_csv(args.csv, "L,formula,oracle",
                    [f"{r.length},{_csv_cell(r.formula)},{r.oracle}"
                     for r in rows])
     if args.alpha is not None:
-        av = repetitivity.alpha_verdict(cfg.coding, alpha, args.horizon)
+        av = repetitivity.alpha_verdict(c, alpha, args.horizon)
         payload = _verdict_payload(av)
         payload["alpha"] = str(av.alpha)
         payload["kappa_gaps"] = list(av.kappa_gaps)
@@ -227,11 +214,11 @@ def _cmd_repetitivity(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_bosh(cfg: RunConfig, args) -> int:
+def _cmd_bosh(c: Coding, args) -> int:
     for flag, value in (("--eta", args.eta), ("--prefix", args.prefix)):
         if value is not None and value < 0:
             raise ValueError(f"{flag}: must be >= 0")
-    bv = boshernitzan.bosh_verdict(cfg.coding, args.horizon)
+    bv = boshernitzan.bosh_verdict(c, args.horizon)
     payload = _verdict_payload(bv)
     payload["liminf_criterion"] = (
         None if bv.liminf_criterion is None else bv.liminf_criterion.value
@@ -239,23 +226,22 @@ def _cmd_bosh(cfg: RunConfig, args) -> int:
     if args.eta is not None:
         if args.prefix is None:
             raise ValueError("--eta: requires --prefix M")
-        eta = boshernitzan.estimate_eta(cfg.coding, args.eta, args.prefix,
-                                        cfg.budget)
+        eta = boshernitzan.estimate_eta(c, args.eta, args.prefix, args.budget)
         payload["eta"] = {
             "L": eta.length,
             "min_frequency": str(eta.min_frequency),
             "prefix": eta.prefix_length,
-            "rarest": cfg.coding.alphabet.render(eta.rarest or b""),
+            "rarest": c.alphabet.render(eta.rarest or b""),
         }
     _emit_json(payload, args.out)
     return 0
 
 
-def _parse_coeff(cfg: RunConfig, qspec: str, pspec: str
+def _parse_coeff(c: Coding, qspec: str, pspec: str
                  ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The (p, q) values per letter id from the --p and --q maps."""
+    """The (p, q) values per letter from the --p and --q maps."""
     def parse_one(spec: str, flag: str, default: float) -> list[float]:
-        values = [default] * len(cfg.coding.alphabet)
+        values = [default] * len(c.alphabet)
         for item in spec.split(","):
             item = item.strip()
             if not item:
@@ -272,15 +258,15 @@ def _parse_coeff(cfg: RunConfig, qspec: str, pspec: str
             if not math.isfinite(value):
                 raise ValueError(f"{flag}: {name} must be finite, got {raw!r}")
             if name == "const":
-                values = [value] * len(cfg.coding.alphabet)
+                values = [value] * len(c.alphabet)
             else:
                 try:
-                    letter = cfg.coding.alphabet.by_name(name)
+                    letter = c.alphabet.by_name(name)
                 except KeyError:
                     raise ValueError(
                         f"{flag}: unknown letter {name!r} in {item!r}"
                     ) from None
-                values[letter.id] = value
+                values[letter] = value
         return values
 
     q = parse_one(qspec, "--q", 0.0)
@@ -288,11 +274,10 @@ def _parse_coeff(cfg: RunConfig, qspec: str, pspec: str
     return tuple(p), tuple(q)
 
 
-def _cmd_spectrum(cfg: RunConfig, args) -> int:
+def _cmd_spectrum(c: Coding, args) -> int:
     from . import spectral
 
-    coeff = spectral.CoefficientMap(cfg.coding.alphabet,
-                                    *_parse_coeff(cfg, args.q, args.p))
+    coeff = spectral.CoefficientMap(c.alphabet, *_parse_coeff(c, args.q, args.p))
     if args.energies:
         try:
             lo, hi, steps = args.energies.split(":")
@@ -305,16 +290,15 @@ def _cmd_spectrum(cfg: RunConfig, args) -> int:
                          f"energies, got {args.energies!r}")
         if steps < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
             raise bad
-        if steps > cfg.budget:
+        if steps > args.budget:
             raise BudgetExceeded(f"--energies: a grid of {steps} energies "
-                                 f"exceeds the budget of {cfg.budget}")
+                                 f"exceeds the budget of {args.budget}")
         grid = spectral.energy_grid(lo, hi, steps)
         if not all(map(math.isfinite, grid)):
             raise bad
         n = 4096 if args.lyapunov is None else args.lyapunov
         try:
-            estimates = spectral.lyapunov_over_grid(cfg.coding, coeff, grid, n,
-                                                    cfg.budget)
+            estimates = spectral.lyapunov_over_grid(c, coeff, grid, n, args.budget)
         except OverflowError:
             raise ValueError(
                 "--energies: the cocycle overflows a float at these energies; "
@@ -323,14 +307,13 @@ def _cmd_spectrum(cfg: RunConfig, args) -> int:
         _write_csv(args.csv, "E,lyapunov",
                    [f"{repr(e.energy)},{repr(e.value)}" for e in estimates])
         return 0
-    approx = spectral.finite_section_spectrum(cfg.coding, coeff, args.size,
-                                              cfg.budget)
+    approx = spectral.finite_section_spectrum(c, coeff, args.size, args.budget)
     _write_csv(args.csv, "j,eigenvalue",
                [f"{j},{repr(ev)}" for j, ev in enumerate(approx.eigenvalues)])
     return 0
 
 
-def _cmd_presets(_cfg, _args) -> int:
+def _cmd_presets(_c, _args) -> int:
     for name in PRESET_NAMES:
         print(name)
     return 0
@@ -425,8 +408,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "presets":
         return _cmd_presets(None, args)
     try:
-        cfg = _resolve(args)
-        return _HANDLERS[args.command](cfg, args)
+        return _HANDLERS[args.command](_resolve(args), args)
     except (BudgetExceeded, HorizonExceeded, PrefixTooShort) as exc:
         print(f"toeplitz {args.command}: {exc}", file=sys.stderr)
         return RESOURCE_ERROR

@@ -5,6 +5,11 @@ a_k != a_{k+1} and period lengths (n_k) with n_k >= 2.  The hole-shift
 sequence (r_k) only moves the reference point inside the subshift and is
 therefore not part of a ``Coding``.
 
+A letter is an ``int``: its index in ``coding.alphabet``, and its byte value
+in words.  ``alphabet[i]`` is the name of letter i, and names are used only
+to parse and render.  ``c.letter(k)``, ``tail_alphabet`` and
+``eventual_alphabet`` hand out letters as ints.
+
 Two tail backends are supported.  A ``PeriodicTail`` repeats a finite cycle
 of entries forever, which makes every derived quantity exactly computable
 from one cycle.  A ``GeneratorTail`` carries a finite materialized stretch of
@@ -30,49 +35,40 @@ MAX_ALPHABET = 255
 
 
 @dataclass(frozen=True)
-class Letter:
-    """One symbol of an alphabet; ``id`` doubles as its byte value in words."""
-
-    id: int
-    name: str
-
-
-@dataclass(frozen=True)
 class Alphabet:
-    letters: tuple[Letter, ...]
+    """Letter names; a letter is its index here and its byte value in words."""
+
+    names: tuple[str, ...]
 
     def __post_init__(self):
-        if not 0 < len(self.letters) <= MAX_ALPHABET:
+        if not 0 < len(self.names) <= MAX_ALPHABET:
             raise ValueError(f"alphabet size must be in 1..{MAX_ALPHABET}")
-        if [l.id for l in self.letters] != list(range(len(self.letters))):
-            raise ValueError("letter ids must be 0..size-1 in order")
-        names = [l.name for l in self.letters]
-        if len(set(names)) != len(names):
+        if len(set(self.names)) != len(self.names):
             raise ValueError("letter names must be unique")
 
     @classmethod
     def from_names(cls, names) -> "Alphabet":
-        return cls(tuple(Letter(i, n) for i, n in enumerate(names)))
+        return cls(tuple(names))
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.names)
 
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.names)
 
-    def __getitem__(self, letter_id: int) -> Letter:
-        return self.letters[letter_id]
+    def __getitem__(self, letter: int) -> str:
+        return self.names[letter]
 
-    def by_name(self, name: str) -> Letter:
-        for letter in self.letters:
-            if letter.name == name:
-                return letter
-        raise KeyError(name)
+    def by_name(self, name: str) -> int:
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise KeyError(name) from None
 
     def render(self, word: bytes) -> str:
         """Word as letter names: concatenated when all names are single chars."""
-        names = [self.letters[b].name for b in word]
-        if all(len(l.name) == 1 for l in self.letters):
+        names = [self.names[b] for b in word]
+        if all(len(n) == 1 for n in self.names):
             return "".join(names)
         return " ".join(names)
 
@@ -81,7 +77,7 @@ class Alphabet:
 class CodingEntry:
     """One step of the coding: insert letter a_k with period n_k."""
 
-    letter: Letter
+    letter: int
     period: int
 
     def __post_init__(self):
@@ -116,7 +112,7 @@ class GeneratorTail:
         if not self.entries:
             raise EmptyCoding("generator tail materialized no entries")
         if self.recurrent is not None and any(
-                e.letter.id not in self.recurrent for e in self.entries):
+                e.letter not in self.recurrent for e in self.entries):
             raise ValueError(
                 f"generator '{self.name}' emitted letters outside its "
                 "declared recurrent alphabet"
@@ -139,12 +135,9 @@ class Coding:
     tail: Tail
 
     def __post_init__(self):
-        for e in self.preperiod + self._tail_entries():
-            if self.alphabet[e.letter.id] != e.letter:
+        for e in self.preperiod + self.tail.entries:
+            if not 0 <= e.letter < len(self.alphabet):
                 raise ValueError(f"letter {e.letter} not in alphabet")
-
-    def _tail_entries(self) -> tuple[CodingEntry, ...]:
-        return self.tail.entries
 
     @property
     def is_exact(self) -> bool:
@@ -173,7 +166,7 @@ class Coding:
             )
         return self.tail.entries[j]
 
-    def letter(self, k: int) -> Letter:
+    def letter(self, k: int) -> int:
         return self.entry(k).letter
 
     def period(self, k: int) -> int:
@@ -182,7 +175,7 @@ class Coding:
     @property
     def is_normalized(self) -> bool:
         """Consecutive letters distinct, including junction and cyclic wrap."""
-        seq = self.preperiod + self._tail_entries()
+        seq = self.preperiod + self.tail.entries
         for a, b in zip(seq, seq[1:]):
             if a.letter == b.letter:
                 return False
@@ -195,31 +188,20 @@ class Coding:
         return True
 
     def spec_string(self) -> str:
-        """Round-trippable `pre | tail` form (generator tails by name)."""
-        pre = " ".join(f"{e.letter.name}:{e.period}" for e in self.preperiod)
+        """The `pre | tail` spec of this coding.
+
+        A periodic coding parses back to the letter names and periods of its
+        normal form, though letter indices may be renumbered.  A generator
+        tail is recorded by name only: its horizon and periods are not kept.
+        """
+        pre = " ".join(f"{self.alphabet[e.letter]}:{e.period}"
+                       for e in self.preperiod)
         if isinstance(self.tail, PeriodicTail):
-            t = " ".join(f"{e.letter.name}:{e.period}" for e in self.tail.entries)
+            t = " ".join(f"{self.alphabet[e.letter]}:{e.period}"
+                         for e in self.tail.entries)
         else:
             t = f"@{self.tail.name}"
         return f"{pre} | {t}".strip()
-
-
-@dataclass(frozen=True)
-class TailAlphabet:
-    """The set A_k = {a_j : j >= k}."""
-
-    k: int
-    letters: frozenset[Letter]
-
-    @property
-    def ids(self) -> frozenset[int]:
-        return frozenset(l.id for l in self.letters)
-
-    def __contains__(self, letter: Letter) -> bool:
-        return letter in self.letters
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
 
 def _merge(a: CodingEntry, b: CodingEntry) -> CodingEntry:
@@ -281,28 +263,27 @@ def normalize(raw: Coding) -> Coding:
     return out
 
 
-def tail_alphabet(c: Coding, k: int) -> TailAlphabet:
+def tail_alphabet(c: Coding, k: int) -> frozenset[int]:
     """A_k = {a_j : j >= k}, certified exactly or via the generator contract."""
     if k < 0:
         raise IndexError("tail alphabet index must be >= 0")
     rest = {e.letter for e in c.preperiod[k:]}
     if isinstance(c.tail, PeriodicTail):
-        return TailAlphabet(k, frozenset(rest | {e.letter for e in c.tail.entries}))
+        return frozenset(rest | {e.letter for e in c.tail.entries})
     if c.tail.recurrent is None:
         raise HorizonExceeded(
             f"generator '{c.tail.name}' declares no recurrent alphabet; "
             "tail alphabets cannot be certified",
             horizon=c.horizon,
         )
-    recurrent = {c.alphabet[i] for i in c.tail.recurrent}
-    return TailAlphabet(k, frozenset(rest | recurrent))
+    return frozenset(rest | c.tail.recurrent)
 
 
-def eventual_alphabet(c: Coding) -> frozenset[Letter]:
+def eventual_alphabet(c: Coding) -> frozenset[int]:
     """A_ev: the letters occurring infinitely often in (a_k)."""
     if isinstance(c.tail, PeriodicTail):
         return frozenset(e.letter for e in c.tail.entries)
-    return tail_alphabet(c, len(c.preperiod)).letters
+    return tail_alphabet(c, len(c.preperiod))
 
 
 def stabilization_index(c: Coding) -> int:
@@ -317,12 +298,12 @@ def stabilization_index(c: Coding) -> int:
 
 def kappa(c: Coding, k: int) -> int:
     """kappa(k) = min{j > k : {a_{k+1}, ..., a_j} = A_{k+1}}."""
-    target = tail_alphabet(c, k + 1).ids
+    target = tail_alphabet(c, k + 1)
     seen: set[int] = set()
     j = k
     while seen != target:
         j += 1
-        seen.add(c.letter(j).id)
+        seen.add(c.letter(j))
     return j
 
 

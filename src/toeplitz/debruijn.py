@@ -67,20 +67,22 @@ def _annotations(c: Coding, length: int, budget: int) -> GraphAnnotations:
     if k >= 1 and c.letter(k - 1) in tail_alphabet(c, k):
         pk1, pk2 = block_length(c, k - 1), block_length(c, k - 2)
         if pk1 + 1 <= length <= 2 * pk1 - pk2:
-            host = host_word(c, k - 1, c.letter(k - 1).id, budget)
+            host = host_word(c, k - 1, c.letter(k - 1), budget)
             u2, v2 = host[:length], host[-length:]
     return GraphAnnotations(k, u1, v1, u2, v2)
 
 
 def build_graph(c: Coding, length: int,
                 budget: int = DEFAULT_BUDGET) -> DeBruijnGraph:
-    """The de Bruijn graph at `length`; needs language(L) and language(L+1)."""
+    """The de Bruijn graph at `length`, read off language(L+1).
+
+    Every length-L factor is the prefix of some length-(L+1) factor, so the
+    edge prefixes are exactly the vertices.
+    """
     if length < 1:
         raise IndexError("graph length must be >= 1")
-    vertices = language(c, length, budget).words
-    edges = tuple(
-        (w[:-1], w[1:], w) for w in language(c, length + 1, budget).words
-    )
+    edges = tuple((w[:-1], w[1:], w) for w in language(c, length + 1, budget))
+    vertices = tuple(sorted({u for u, _, _ in edges}))
     return DeBruijnGraph(c.alphabet, length, vertices, edges,
                          _annotations(c, length, budget))
 
@@ -219,8 +221,8 @@ def arc_structure_report(c: Coding, graph: DeBruijnGraph) -> list[tuple[str, boo
         checks.append((name, ok, f"walked {got[1]} edges, expected {want_steps}"))
 
     if k == 0:
-        a0 = c.letter(0).id
-        for letter in sorted(tail_alphabet(c, 0).ids):
+        a0 = c.letter(0)
+        for letter in sorted(tail_alphabet(c, 0)):
             steps = 1 if letter == a0 else length + 1
             if (ann.v1, letter) in first_out:
                 record(f"arc via {letter}", walk(ann.v1, letter), ann.v1, steps)
@@ -229,9 +231,9 @@ def arc_structure_report(c: Coding, graph: DeBruijnGraph) -> list[tuple[str, boo
     pk1, pk2 = block_length(c, k - 1), block_length(c, k - 2)
     r = length % (pk1 + 1)
     rt = length % (pk2 + 1)
-    ak = c.letter(k).id
-    ak_prev = c.letter(k - 1).id
-    for letter in sorted(tail_alphabet(c, k).ids):
+    ak = c.letter(k)
+    ak_prev = c.letter(k - 1)
+    for letter in sorted(tail_alphabet(c, k)):
         if (ann.v1, letter) not in first_out:
             continue
         if letter == ak:

@@ -19,41 +19,18 @@ tiers read them, and neither ever sees a formula value:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
-from .coding import Coding, Letter, tail_alphabet
+from .coding import Coding, tail_alphabet
 from .errors import BudgetExceeded, WordNotInLanguage
 from .words import DEFAULT_BUDGET, block, block_length, governing_level
 
 
-@dataclass(frozen=True)
-class LanguageSet:
-    """All length-L factors of the subshift, sorted."""
-
-    length: int
-    words: tuple[bytes, ...]
-
-    @cached_property
-    def words_set(self) -> frozenset[bytes]:
-        return frozenset(self.words)
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __contains__(self, word: bytes) -> bool:
-        return word in self.words_set
-
-    def __iter__(self):
-        return iter(self.words)
-
-
-def host_word(c: Coding, k: int, letter_id: int,
+def host_word(c: Coding, k: int, letter: int,
               budget: int = DEFAULT_BUDGET) -> bytes:
-    """The word p(k) a p(k) for the letter with id `letter_id`."""
+    """The word p(k) a p(k) for a = `letter`."""
     p = block(c, k, budget)
-    return p + bytes([letter_id]) + p
+    return p + bytes([letter]) + p
 
 
 def enclosing_words(c: Coding, length: int,
@@ -61,21 +38,21 @@ def enclosing_words(c: Coding, length: int,
     """The words p(k) a p(k), a in A_{k+1}, that exhaust factors up to `length`."""
     k = governing_level(c, length)
     return [host_word(c, k, a, budget)
-            for a in sorted(tail_alphabet(c, k + 1).ids)]
+            for a in sorted(tail_alphabet(c, k + 1))]
 
 
 def language(c: Coding, length: int,
-             budget: int = DEFAULT_BUDGET) -> LanguageSet:
-    """The exact set of length-`length` factors; {empty word} for length 0."""
+             budget: int = DEFAULT_BUDGET) -> tuple[bytes, ...]:
+    """The sorted length-`length` factors; (empty word,) for length 0."""
     if length < 0:
         raise IndexError("word length must be >= 0")
     if length == 0:
-        return LanguageSet(0, (b"",))
-    return LanguageSet(length, tuple(sorted({
+        return (b"",)
+    return tuple(sorted({
         w[i:i + length]
         for w in enclosing_words(c, length, budget)
         for i in range(len(w) - length + 1)
-    })))
+    }))
 
 
 def _host_symbols(c: Coding, length: int) -> int:
@@ -189,14 +166,13 @@ def palindrome_counts(c: Coding, max_len: int,
 
 
 def right_extensions(c: Coding, word: bytes,
-                     budget: int = DEFAULT_BUDGET) -> frozenset[Letter]:
+                     budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     """Letters b with word*b in the language; nonempty for language members."""
     if word not in language(c, len(word), budget):
         raise WordNotInLanguage(f"{word!r} is not a factor of the subshift")
-    longer = language(c, len(word) + 1, budget).words_set
+    longer = set(language(c, len(word) + 1, budget))
     return frozenset(
-        letter for letter in c.alphabet
-        if word + bytes([letter.id]) in longer
+        b for b in range(len(c.alphabet)) if word + bytes([b]) in longer
     )
 
 

@@ -144,21 +144,15 @@ def parse_coding_spec(text: str, periods: Sequence[int] = (2,),
         base = GENERATORS[name](*args, periods=tuple(periods))
         if not pre_tokens:
             return normalize(base)
-        names = [l.name for l in base.alphabet]
+        # new preperiod letters go after the generator's own, so its letter
+        # indices, and with them its tail, stay valid
+        names = list(base.alphabet)
         for n, _ in pre_tokens:
             if n not in names:
                 names.append(n)
         alphabet = Alphabet.from_names(names)
         pre = tuple(CodingEntry(alphabet.by_name(n), p) for n, p in pre_tokens)
-        tail_entries = tuple(
-            CodingEntry(alphabet.by_name(e.letter.name), e.period)
-            for e in base.tail.entries
-        )
-        recur = frozenset(
-            alphabet.by_name(base.alphabet[i].name).id for i in base.tail.recurrent
-        ) if base.tail.recurrent is not None else None
-        tail = GeneratorTail(base.tail.name, tail_entries, recur)
-        return normalize(Coding(alphabet, pre, tail))
+        return normalize(Coding(alphabet, pre, base.tail))
 
     tail_tokens = _parse_entries(right, flag)
     if not tail_tokens:

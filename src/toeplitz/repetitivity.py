@@ -100,7 +100,7 @@ def repetitivity_oracle(c: Coding, length: int,
     """
     if length < 1:
         raise IndexError("repetitivity lengths start at 1")
-    inner = language(c, length, budget).words
+    inner = language(c, length, budget)
     window = length + 1
     while True:
         need = 1 + max(_longest_free(host, w)

@@ -60,15 +60,15 @@ class CoefficientMap:
     @classmethod
     def from_names(cls, alphabet: Alphabet, q: dict, p: Optional[dict] = None
                    ) -> "CoefficientMap":
-        qv = tuple(q[l.name] for l in alphabet)
-        pv = tuple((p or {}).get(l.name, 1) for l in alphabet)
+        qv = tuple(q[name] for name in alphabet)
+        pv = tuple((p or {}).get(name, 1) for name in alphabet)
         return cls(alphabet, pv, qv)
 
-    def p(self, letter_id: int) -> Number:
-        return self.p_values[letter_id]
+    def p(self, letter: int) -> Number:
+        return self.p_values[letter]
 
-    def q(self, letter_id: int) -> Number:
-        return self.q_values[letter_id]
+    def q(self, letter: int) -> Number:
+        return self.q_values[letter]
 
     @property
     def degenerate(self) -> bool:

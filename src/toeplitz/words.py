@@ -8,7 +8,7 @@ approximant and obeys
 so |p(k)| + 1 = n_0 * ... * n_k.  Every p(k) is a prefix of p(k+1), which
 pins down a unique one-sided infinite word; its factor set is the language
 of the subshift, so that word is the canonical representative here.  Words
-are bytes of letter ids (alphabets are capped at 255 letters).
+are bytes of letter indices (alphabets are capped at 255 letters).
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ def block(c: Coding, k: int, budget: int = DEFAULT_BUDGET) -> bytes:
         raise BudgetExceeded(
             f"|p({k})| = {length} exceeds the budget of {budget} symbols"
         )
-    out = bytes([c.letter(0).id]) * (c.period(0) - 1)
+    out = bytes([c.letter(0)]) * (c.period(0) - 1)
     for j in range(1, k + 1):
-        out = (out + bytes([c.letter(j).id])) * (c.period(j) - 1) + out
+        out = (out + bytes([c.letter(j)])) * (c.period(j) - 1) + out
     return out
 
 
@@ -68,11 +68,11 @@ def word_prefix(c: Coding, length: int, budget: int = DEFAULT_BUDGET) -> bytes:
             f"prefix of length {length} exceeds the budget of {budget} symbols"
         )
     if length <= block_length(c, 0):
-        return bytes([c.letter(0).id]) * length
+        return bytes([c.letter(0)]) * length
     k = governing_level(c, length, 0)
     # p(k) = (p(k-1) a_k)^{n_k - 1} p(k-1) and p(k-1) is a prefix of the
     # repeated chunk, so truncating chunk repetitions is exact
-    chunk = block(c, k - 1, budget) + bytes([c.letter(k).id])
+    chunk = block(c, k - 1, budget) + bytes([c.letter(k)])
     reps = -(-length // len(chunk))
     return (chunk * reps)[:length]
 

@@ -37,10 +37,10 @@ def random_periodic_coding(rng: random.Random) -> Coding:
     pre_ids.reverse()
     periods = [rng.choice([2, 3, 4]) for _ in range(pre_len + tail_len)]
     pre = tuple(
-        CodingEntry(alphabet[l], n) for l, n in zip(pre_ids, periods[:pre_len])
+        CodingEntry(l, n) for l, n in zip(pre_ids, periods[:pre_len])
     )
     tail = PeriodicTail(tuple(
-        CodingEntry(alphabet[l], n) for l, n in zip(ids, periods[pre_len:])
+        CodingEntry(l, n) for l, n in zip(ids, periods[pre_len:])
     ))
     return Coding(alphabet, pre, tail)
 
@@ -49,7 +49,7 @@ def random_periodic_coding(rng: random.Random) -> Coding:
 def periodic_codings(draw) -> Coding:
     """Normalized codings: alphabet 2-4, periods 2-3, preperiod <= 2, tail 2-4."""
     alphabet = Alphabet.from_names("abcd"[:draw(st.integers(2, 4))])
-    entries = st.builds(CodingEntry, st.sampled_from(alphabet.letters),
+    entries = st.builds(CodingEntry, st.sampled_from(range(len(alphabet))),
                         st.integers(2, 3))
     pre = draw(st.lists(entries, max_size=2))
     tail = draw(st.lists(entries, min_size=2, max_size=4))
@@ -64,7 +64,7 @@ def squaring_coding() -> Coding:
     """
     alphabet = Alphabet.from_names("xyz")
     entries = tuple(
-        CodingEntry(alphabet[j % 3], 2 ** (2 ** j)) for j in range(14)
+        CodingEntry(j % 3, 2 ** (2 ** j)) for j in range(14)
     )
     return Coding(alphabet, (), GeneratorTail("squaring", entries,
                                               recurrent=frozenset(range(3))))

@@ -19,7 +19,7 @@ from toeplitz.verdicts import Status
 def alternating_coding() -> Coding:
     """Three-letter generator x, y, z, x, y, z, ... with constant period 2."""
     ab = Alphabet.from_names("xyz")
-    entries = tuple(CodingEntry(ab[j % 3], 2) for j in range(64))
+    entries = tuple(CodingEntry(j % 3, 2) for j in range(64))
     return Coding(ab, (), GeneratorTail("cycle", entries,
                                         recurrent=frozenset(range(3))))
 

@@ -225,9 +225,11 @@ class TestExitCodes:
         (("bosh", "--horizon", "0"), "--horizon:"),
         (("bosh", "--eta", "2", "--prefix", "-5"), "--prefix:"),
         (("bosh", "--eta", "-1", "--prefix", "100"), "--eta:"),
+        (("gen", "--length", "4", "--budget", "0"), "--budget:"),
+        (("gen", "--length", "4", "--budget", "-1"), "--budget:"),
     ], ids=["complexity", "palindrome", "repetitivity", "alpha-horizon",
             "bosh-negative-horizon", "bosh-zero-horizon", "bosh-negative-prefix",
-            "bosh-negative-eta"])
+            "bosh-negative-eta", "zero-budget", "negative-budget"])
     def test_out_of_range_counts_are_usage_errors(self, capsys, argv, flag):
         command, *rest = argv
         code, out, err = run(capsys, command, "--preset", "liuqu", *rest)
@@ -331,6 +333,14 @@ class TestReports:
 
 
 class TestImports:
+    def test_package_exports_resolve(self):
+        import toeplitz
+
+        assert [n for n in toeplitz.__all__ if not hasattr(toeplitz, n)] == []
+        namespace: dict = {}
+        exec("from toeplitz import *", namespace)
+        assert set(toeplitz.__all__) <= namespace.keys()
+
     def test_only_spectrum_imports_numpy(self):
         commands = [
             ["presets"],

@@ -81,10 +81,10 @@ class TestNormalize:
 
 class TestTailAlphabet:
     def test_grigorchuk_full_alphabet_at_zero(self, grig):
-        assert {l.name for l in tail_alphabet(grig, 0).letters} == set("axyz")
+        assert {grig.alphabet[l] for l in tail_alphabet(grig, 0)} == set("axyz")
 
     def test_grigorchuk_eventual_from_one(self, grig):
-        assert {l.name for l in tail_alphabet(grig, 1).letters} == set("xyz")
+        assert {grig.alphabet[l] for l in tail_alphabet(grig, 1)} == set("xyz")
         assert stabilization_index(grig) == 1
 
     def test_stabilized_tail_equals_eventual(self, battery):
@@ -92,12 +92,12 @@ class TestTailAlphabet:
             n_ev = stabilization_index(c)
             ev = eventual_alphabet(c)
             for k in range(n_ev, n_ev + 6):
-                assert tail_alphabet(c, k).letters == ev
+                assert tail_alphabet(c, k) == ev
 
     def test_nested(self, battery):
         for c in battery:
             for k in range(6):
-                assert tail_alphabet(c, k + 1).letters <= tail_alphabet(c, k).letters
+                assert tail_alphabet(c, k + 1) <= tail_alphabet(c, k)
 
     def test_generator_without_recurrent_declaration_refuses(self):
         ab = Alphabet.from_names("xy")
@@ -184,11 +184,11 @@ class TestMSequence:
                 if m < n_ev:
                     continue
                 top = kappa(c, m)
-                target = tail_alphabet(c, m + 1).ids
+                target = tail_alphabet(c, m + 1)
                 seen: set[int] = set()
                 j = top
                 while True:
-                    seen.add(c.letter(j).id)
+                    seen.add(c.letter(j))
                     if seen == target:
                         break
                     j -= 1
@@ -208,29 +208,62 @@ class TestMSequence:
                     kappa(c, m_sequence(c, i + period)) - m_sequence(c, i + period)
 
 
+class TestValidation:
+    @pytest.mark.parametrize("names, message", [
+        ("", "alphabet size"),
+        ([f"l{i}" for i in range(256)], "alphabet size"),
+        ("xyx", "unique"),
+    ], ids=["empty", "256-names", "duplicate"])
+    def test_bad_alphabet(self, names, message):
+        with pytest.raises(ValueError, match=message):
+            Alphabet.from_names(names)
+
+    def test_largest_alphabet(self):
+        assert len(Alphabet.from_names(f"l{i}" for i in range(255))) == 255
+
+    @pytest.mark.parametrize("pre, tail", [
+        ((-1,), (0, 1)),
+        ((), (0, 2)),
+    ], ids=["negative-preperiod-letter", "tail-letter-past-the-end"])
+    def test_entry_outside_alphabet(self, pre, tail):
+        ab = Alphabet.from_names("xy")
+        with pytest.raises(ValueError, match="not in alphabet"):
+            Coding(ab, tuple(CodingEntry(l, 2) for l in pre),
+                   PeriodicTail(tuple(CodingEntry(l, 2) for l in tail)))
+
+
+def named_entries(c):
+    """(name, period) of the preperiod and the tail entries of `c`."""
+    return [[(c.alphabet[e.letter], e.period) for e in part]
+            for part in (c.preperiod, c.tail.entries)]
+
+
 class TestPresets:
-    def test_parse_round_trip(self, grig):
+    def test_parse_round_trip(self, grig, battery):
         assert parse_coding_spec(grig.spec_string()) == grig
+        for c in battery:
+            assert named_entries(parse_coding_spec(c.spec_string())) == \
+                named_entries(normalize(c))
 
     def test_l_grigorchuk_periods_are_powers_of_two(self):
         c = l_grigorchuk(1, 2)
         ps = [c.period(k) for k in range(1, 13)]
         assert ps == [2, 4, 2, 4, 2, 4] * 2
-        assert {l.name for l in eventual_alphabet(c)} == set("xyz")
+        assert {c.alphabet[l] for l in eventual_alphabet(c)} == set("xyz")
 
     def test_generator_tail_with_new_preperiod_letter(self):
         c = parse_coding_spec("e:3 | @liuqu")
-        assert [l.name for l in c.alphabet] == list("abcde")
+        assert list(c.alphabet) == list("abcde")
         assert c.tail.recurrent == frozenset({0, 1, 2, 3})
-        assert [(e.letter.name, e.period) for e in c.preperiod] == [("e", 3)]
-        assert [e.letter.name for e in c.tail.entries[:8]] == list("abcababd")
+        assert [(c.alphabet[e.letter], e.period) for e in c.preperiod] == [("e", 3)]
+        assert [c.alphabet[e.letter] for e in c.tail.entries[:8]] == list("abcababd")
 
     def test_generator_tail_merges_at_the_junction(self):
         # the preperiod a:3 absorbs liuqu's leading a:2
         c = parse_coding_spec("a:3 | @liuqu")
-        assert [l.name for l in c.alphabet] == list("abcd")
-        assert [(e.letter.name, e.period) for e in c.preperiod] == [("a", 6)]
-        assert [e.letter.name for e in c.tail.entries[:7]] == list("bcababd")
+        assert list(c.alphabet) == list("abcd")
+        assert [(c.alphabet[e.letter], e.period) for e in c.preperiod] == [("a", 6)]
+        assert [c.alphabet[e.letter] for e in c.tail.entries[:7]] == list("bcababd")
         assert {e.period for e in c.tail.entries} == {2}
 
     def test_eventually_periodic_kappa_gaps(self, battery):

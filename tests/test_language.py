@@ -34,7 +34,7 @@ def test_submodule_import_binds_the_module():
 
 class TestLanguage:
     def test_empty_word_level(self, grig):
-        assert language(grig, 0).words == (b"",)
+        assert language(grig, 0) == (b"",)
 
     def test_grigorchuk_letters(self, grig):
         assert words_of(grig, 1) == {"a", "x", "y", "z"}
@@ -44,12 +44,12 @@ class TestLanguage:
 
     def test_sorted_by_letter_id(self, grig):
         lang = language(grig, 3)
-        assert list(lang.words) == sorted(lang.words)
+        assert list(lang) == sorted(lang)
 
     def test_factorial_closure(self, battery):
         for c in battery[:10]:
             for length in (2, 3, 5):
-                shorter = language(c, length - 1).words_set
+                shorter = set(language(c, length - 1))
                 for w in language(c, length):
                     assert w[:-1] in shorter and w[1:] in shorter
 
@@ -69,28 +69,28 @@ class TestLanguage:
             for length in (2, 5, 9):
                 k = governing_level(c, length)
                 prefix = block(c, kappa(c, k))
-                assert language(c, length).words_set == \
+                assert set(language(c, length)) == \
                     prefix_factor_set(c, length, prefix)
 
 
 class TestRightExtensions:
     def test_branching_letter(self, grig):
         exts = right_extensions(grig, word_prefix(grig, 1))
-        assert {l.name for l in exts} == {"x", "y", "z"}
+        assert {grig.alphabet[l] for l in exts} == {"x", "y", "z"}
 
     def test_forced_letter(self, grig):
-        x = bytes([grig.alphabet.by_name("x").id])
-        assert {l.name for l in right_extensions(grig, x)} == {"a"}
+        x = bytes([grig.alphabet.by_name("x")])
+        assert {grig.alphabet[l] for l in right_extensions(grig, x)} == {"a"}
 
     def test_special_suffix_extends_by_whole_tail_alphabet(self, grig):
         for k in (1, 2, 3):
             length = block_length(grig, k) - block_length(grig, k - 1) - 1
             suffix = block(grig, k)[-length:]
             exts = right_extensions(grig, suffix)
-            assert exts == tail_alphabet(grig, k).letters
+            assert exts == tail_alphabet(grig, k)
 
     def test_unknown_word_rejected(self, grig):
-        aa = bytes([grig.alphabet.by_name("a").id]) * 2
+        aa = bytes([grig.alphabet.by_name("a")]) * 2
         with pytest.raises(WordNotInLanguage):
             right_extensions(grig, aa)
 

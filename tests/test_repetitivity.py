@@ -47,7 +47,7 @@ class TestOracle:
     @given(c=periodic_codings(), length=st.integers(1, 3))
     def test_oracle_is_the_least_containing_window(self, c, length):
         r = repetitivity_oracle(c, length)
-        inner = language(c, length).words
+        inner = language(c, length)
         assert all(all(w in u for w in inner) for u in language(c, r))
         assert any(any(w not in u for w in inner) for u in language(c, r - 1))
 

@@ -79,7 +79,7 @@ class TestWordPrefix:
 
         c = parse_coding_spec("| x:2097152 y:2")
         w = word_prefix(c, 64, budget=1 << 10)
-        assert w == bytes([c.alphabet.by_name("x").id]) * 64
+        assert w == bytes([c.alphabet.by_name("x")]) * 64
 
     def test_reconstruction_blocks_and_separators(self, battery, grig):
         # prefix tiles as p(k) * p(k) * ... with every separator * in A_{k+1};
@@ -91,7 +91,7 @@ class TestWordPrefix:
                 holes = undetermined_part(
                     c, k, tuple(c.period(j) - 1 for j in range(k + 1))
                 )
-                allowed = tail_alphabet(c, k + 1).ids
+                allowed = tail_alphabet(c, k + 1)
                 p = block(c, k)
                 for start in range(0, len(w) - span + 1, span):
                     chunk = w[start:start + span]
