@@ -1,6 +1,6 @@
 """Command-line front door wiring every module together.
 
-Exit codes: 0 success, 1 formula/oracle check mismatch, 2 usage error,
+Exit codes: 0 success, 1 formula/oracle mismatch, 2 usage error,
 3 budget or horizon exhaustion.  All outputs are deterministic: words are
 sorted, JSON keys are sorted and floats use repr.  Every scan runs serially;
 the worker-count flag is accepted for compatibility and has no effect.
@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -119,11 +120,10 @@ def _write_csv(path: Optional[str], header: str, lines) -> None:
 
 
 def _formula_vs_oracle(args, header: str, rows, line) -> int:
-    """Write the table; under --check, report every mismatching row."""
+    """Write the table; report every row whose formula and oracle differ."""
     _write_csv(args.csv, header, [line(r) for r in rows])
-    if not args.check:
-        return 0
-    bad = [r for r in rows if r.oracle != r.formula]
+    bad = [r for r in rows
+           if None not in (r.formula, r.oracle) and r.oracle != r.formula]
     for r in bad:
         print(f"mismatch at L={r.length}: formula {r.formula} != "
               f"oracle {r.oracle}", file=sys.stderr)
@@ -199,11 +199,12 @@ def _cmd_repetitivity(c: Coding, args) -> int:
         if alpha < 1:
             raise ValueError("--alpha: alpha-repetitivity is defined for "
                              f"alpha >= 1, got {args.alpha!r}")
+    code = 0
     if args.max_len:
-        rows = repetitivity.report(c, args.max_len, args.budget)
-        _write_csv(args.csv, "L,formula,oracle",
-                   [f"{r.length},{_csv_cell(r.formula)},{r.oracle}"
-                    for r in rows])
+        code = _formula_vs_oracle(
+            args, "L,formula,oracle",
+            repetitivity.report(c, args.max_len, args.budget),
+            lambda r: f"{r.length},{_csv_cell(r.formula)},{r.oracle}")
     if args.alpha is not None:
         av = repetitivity.alpha_verdict(c, alpha, args.horizon)
         payload = _verdict_payload(av)
@@ -211,7 +212,7 @@ def _cmd_repetitivity(c: Coding, args) -> int:
         payload["kappa_gaps"] = list(av.kappa_gaps)
         payload["log_ratios"] = [repr(x) for x in av.log_ratios]
         _emit_json(payload, None)
-    return 0
+    return code
 
 
 def _cmd_bosh(c: Coding, args) -> int:
@@ -408,7 +409,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "presets":
         return _cmd_presets(None, args)
     try:
-        return _HANDLERS[args.command](_resolve(args), args)
+        with warnings.catch_warnings():
+            # one line naming the command, not a source location
+            warnings.showwarning = lambda message, *_, **__: print(
+                f"toeplitz {args.command}: warning: {message}", file=sys.stderr)
+            return _HANDLERS[args.command](_resolve(args), args)
     except (BudgetExceeded, HorizonExceeded, PrefixTooShort) as exc:
         print(f"toeplitz {args.command}: {exc}", file=sys.stderr)
         return RESOURCE_ERROR

@@ -4,7 +4,8 @@ The graph at length L has the length-L factors as vertices and one edge per
 length-(L+1) factor, from its length-L prefix to its length-L suffix.  The
 graphs of a simple Toeplitz subshift consist of a bundle of arcs between the
 prefix u1 and suffix v1 of the governing block p(k), occasionally with a
-secondary branch vertex v2 (suffix of p(k-1) a_{k-1} p(k-1)).  Reversal of
+secondary branch vertex v2 (suffix of p(k-1) a_{k-1} p(k-1)); that
+description is checked as `contracted_arcs == predicted_arcs`.  Reversal of
 words is a graph anti-automorphism; its fixed vertices are exactly the
 palindromes, which yields a closed palindrome-count formula checked here
 against an eertree over the enclosing words and against direct enumeration.
@@ -46,12 +47,6 @@ class DeBruijnGraph:
     edges: tuple[tuple[bytes, bytes, bytes], ...]  # (source, target, word)
     annotations: GraphAnnotations
 
-    def out_degrees(self) -> dict[bytes, int]:
-        degrees = {v: 0 for v in self.vertices}
-        for u, _, _ in self.edges:
-            degrees[u] += 1
-        return degrees
-
     def successors(self) -> dict[bytes, list[bytes]]:
         nxt: dict[bytes, list[bytes]] = {v: [] for v in self.vertices}
         for u, v, _ in self.edges:
@@ -90,9 +85,9 @@ def build_graph(c: Coding, length: int,
 def right_special_report(graph: DeBruijnGraph) -> list[RightSpecial]:
     """Vertices with at least two right extensions, in word order."""
     return [
-        RightSpecial(v, d)
-        for v, d in sorted(graph.out_degrees().items())
-        if d >= 2
+        RightSpecial(v, len(nxt))
+        for v, nxt in sorted(graph.successors().items())
+        if len(nxt) >= 2
     ]
 
 
@@ -186,72 +181,60 @@ def palindrome_profile(c: Coding, max_length: int, with_oracle: bool = False,
     ]
 
 
-def arc_structure_report(c: Coding, graph: DeBruijnGraph) -> list[tuple[str, bool, str]]:
-    """Validate the arc lengths of the structural graph description.
+def contracted_arcs(graph: DeBruijnGraph
+                    ) -> dict[tuple[bytes, int], tuple[bytes, int]]:
+    """(start, letter) -> (end, edges walked) for every arc between stops.
 
-    Walks from each branch vertex along out-degree-1 vertices and compares
-    segment lengths with the predicted r/rt arithmetic.  At L = |p(k)| the
-    prefix u1 coincides with v1 and position bookkeeping degenerates, so
-    callers should treat findings at that boundary length as advisory.
+    The stops are u1 and every vertex whose out-degree is not 1; an arc
+    leaves a stop by one edge and follows single out-edges to the next
+    stop.  A walk gives up after len(edges) steps, so it ends even on a
+    cycle without stops.
     """
-    ann = graph.annotations
-    k, length = ann.level, graph.length
-    first_out: dict[tuple[bytes, int], bytes] = {}
-    for u, v, w in graph.edges:
-        first_out[(u, w[-1])] = v
-    degrees = graph.out_degrees()
-    branch_points = {v for v, d in degrees.items() if d >= 2}
     successors = graph.successors()
-
-    def walk(start: bytes, first_letter: int) -> tuple[bytes, int]:
-        current = first_out[(start, first_letter)]
-        steps = 1
-        while current not in branch_points and current != ann.u1:
-            nxts = successors[current]
-            current = nxts[0]
-            steps += 1
-            if steps > len(graph.edges):
-                break
-        return current, steps
-
-    checks: list[tuple[str, bool, str]] = []
-
-    def record(name: str, got: tuple[bytes, int], want_end: bytes, want_steps: int):
-        ok = got == (want_end, want_steps)
-        checks.append((name, ok, f"walked {got[1]} edges, expected {want_steps}"))
-
-    if k == 0:
-        a0 = c.letter(0)
-        for letter in sorted(tail_alphabet(c, 0)):
-            steps = 1 if letter == a0 else length + 1
-            if (ann.v1, letter) in first_out:
-                record(f"arc via {letter}", walk(ann.v1, letter), ann.v1, steps)
-        return checks
-
-    pk1, pk2 = block_length(c, k - 1), block_length(c, k - 2)
-    r = length % (pk1 + 1)
-    rt = length % (pk2 + 1)
-    ak = c.letter(k)
-    ak_prev = c.letter(k - 1)
-    for letter in sorted(tail_alphabet(c, k)):
-        if (ann.v1, letter) not in first_out:
+    stops = {graph.annotations.u1}
+    stops.update(v for v, nxt in successors.items() if len(nxt) != 1)
+    arcs = {}
+    for u, v, w in graph.edges:
+        if u not in stops:
             continue
-        if letter == ak:
-            record(f"arc via a_k={letter}", walk(ann.v1, letter), ann.u1, r + 1)
-        elif ann.v2 is not None and letter == ak_prev:
-            record(
-                f"arc via a_(k-1)={letter} to v2",
-                walk(ann.v1, letter), ann.v2, r + 1 + pk2 - rt,
-            )
-        else:
-            record(f"arc via {letter}", walk(ann.v1, letter), ann.u1, length + 1)
+        steps = 1
+        while v not in stops and steps <= len(graph.edges):
+            v = successors[v][0]
+            steps += 1
+        arcs[u, w[-1]] = (v, steps)
+    return arcs
+
+
+def predicted_arcs(c: Coding, graph: DeBruijnGraph
+                   ) -> dict[tuple[bytes, int], tuple[bytes, int]]:
+    """The paper's arc description as a `contracted_arcs` map.
+
+    Reads only the length L and the annotations, never the edges.  With
+    r = L mod (|p(k-1)|+1) and rt = L mod (|p(k-2)|+1): v1 reaches u1 in
+    L+1 edges by every b in A_k other than a_k, and in r+1 edges by a_k
+    unless L >= |p(k)| - |p(k-1)| and a_k is not in A_{k+1}.  When v2
+    exists, v1 reaches it by a_{k-1} in r+1+|p(k-2)|-rt edges, v2 loops to
+    itself by a_{k-1} in |p(k-2)|+1 edges and reaches u1 by a_k in r+1
+    edges.  A u1 apart from v1 and v2 reaches v1 in |p(k-1)|-r edges.
+    """
+    ann, length = graph.annotations, graph.length
+    k, ak = ann.level, c.letter(ann.level)
+    pk1 = block_length(c, k - 1)
+    r = length % (pk1 + 1)
+    arcs = {(ann.v1, b): (ann.u1, length + 1)
+            for b in tail_alphabet(c, k) if b != ak}
+    if length < block_length(c, k) - pk1 or ak in tail_alphabet(c, k + 1):
+        arcs[ann.v1, ak] = (ann.u1, r + 1)
     if ann.v2 is not None:
-        record("v2 loop", walk(ann.v2, ak_prev), ann.v2, pk2 + 1)
-        record("v2 to u1 via a_k", walk(ann.v2, ak), ann.u1, r + 1)
-    if ann.u1 not in branch_points and ann.u1 != ann.v1:
-        letter = next(b for (u, b) in first_out if u == ann.u1)
-        record("u1 to v1", walk(ann.u1, letter), ann.v1, pk1 - r)
-    return checks
+        pk2 = block_length(c, k - 2)
+        rt = length % (pk2 + 1)
+        ak1 = c.letter(k - 1)
+        arcs[ann.v1, ak1] = (ann.v2, r + 1 + pk2 - rt)
+        arcs[ann.v2, ak1] = (ann.v2, pk2 + 1)
+        arcs[ann.v2, ak] = (ann.u1, r + 1)
+    if ann.u1 not in (ann.v1, ann.v2):  # u1 = p(k)[:L] goes on by p(k)[L]
+        arcs[ann.u1, block(c, k)[length]] = (ann.v1, pk1 - r)
+    return arcs
 
 
 def to_dot(graph: DeBruijnGraph) -> str:

@@ -167,13 +167,17 @@ def palindrome_counts(c: Coding, max_len: int,
 
 def right_extensions(c: Coding, word: bytes,
                      budget: int = DEFAULT_BUDGET) -> frozenset[int]:
-    """Letters b with word*b in the language; nonempty for language members."""
-    if word not in language(c, len(word), budget):
-        raise WordNotInLanguage(f"{word!r} is not a factor of the subshift")
-    longer = set(language(c, len(word) + 1, budget))
-    return frozenset(
-        b for b in range(len(c.alphabet)) if word + bytes([b]) in longer
+    """Letters b with word*b in the language; nonempty for language members.
+
+    Every factor extends to the right, so the longer factors alone tell
+    whether `word` is a factor at all.
+    """
+    extensions = frozenset(
+        w[-1] for w in language(c, len(word) + 1, budget) if w[:-1] == word
     )
+    if not extensions:
+        raise WordNotInLanguage(f"{word!r} is not a factor of the subshift")
+    return extensions
 
 
 def prefix_factor_set(c: Coding, length: int, prefix: bytes) -> frozenset[bytes]:

@@ -210,7 +210,6 @@ def lyapunov_estimate(c: Coding, coeff: CoefficientMap, E: Number, n: int,
 class SpectrumApproximation:
     """Sorted eigenvalues of the N x N finite section."""
 
-    level: int
     eigenvalues: tuple[float, ...]
 
     def cover(self, delta: float) -> tuple[tuple[float, float], ...]:
@@ -260,7 +259,7 @@ def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
     _warn_if_degenerate(coeff)
     matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     eigenvalues = np.linalg.eigvalsh(matrix)
-    return SpectrumApproximation(size, tuple(float(v) for v in eigenvalues))
+    return SpectrumApproximation(tuple(float(v) for v in eigenvalues))
 
 
 def spectral_bounds(coeff: CoefficientMap) -> tuple[float, float]:

@@ -19,8 +19,10 @@ from toeplitz.coding import eventual_alphabet, kappa, m_sequence, scaled_length
 from toeplitz.complexity import complexity_formula, growth_formula
 from toeplitz.debruijn import (
     build_graph,
+    contracted_arcs,
     is_strongly_connected,
     palindrome_formula,
+    predicted_arcs,
     reflection_check,
     reflection_fixed_points,
     right_special_report,
@@ -128,6 +130,7 @@ def test_criterion_3_debruijn_structure(battery):
                 assert degree_slack == growth_formula(c, L)
                 assert len(reflection_fixed_points(graph)) == \
                     palindrome_formula(c, L)
+                assert contracted_arcs(graph) == predicted_arcs(c, graph)
 
 
 def _band_lengths(c, i):

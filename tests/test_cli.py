@@ -58,6 +58,23 @@ class TestGeneratorTailsWithPreperiod:
         assert code == 0 and out == block(letters, periods) + "\n"
 
 
+class TestPeriods:
+    # liuqu's letters start a b c a; periods cycle 3, 2, 3, 2, ...
+    @pytest.mark.parametrize("source", [("--preset", "liuqu"),
+                                        ("--coding", "| @liuqu")],
+                             ids=["preset", "coding"])
+    def test_cyclic_periods(self, capsys, source):
+        code, out, _ = run(capsys, "gen", *source, "--periods", "3,2",
+                           "--length", "24")
+        assert code == 0 and out == block("abca", [3, 2, 3, 2])[:24] + "\n"
+
+    @pytest.mark.parametrize("periods", ["1", "x", ""])
+    def test_bad_periods_are_usage_errors(self, capsys, periods):
+        code, out, err = run(capsys, "gen", "--preset", "liuqu",
+                             "--periods", periods, "--length", "24")
+        assert code == 2 and out == "" and "--periods" in err
+
+
 class TestLanguage:
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "language", "--preset", "grigorchuk",
@@ -101,6 +118,22 @@ class TestExitCodes:
         assert code == 1
         assert out == "L,formula,oracle\n1,4,4\n2,1,0\n3,4,4\n"
         assert err == "mismatch at L=2: formula 1 != oracle 0\n"
+
+    def test_repetitivity_mismatch_is_one(self, capsys, monkeypatch):
+        import toeplitz.repetitivity as rep
+
+        real = rep.repetitivity_formula
+        monkeypatch.setattr(
+            rep, "repetitivity_formula",
+            lambda c, L: real(c, L) + (1 if L == 4 else 0),
+        )
+        code, out, err = run(capsys, "repetitivity", "--preset", "grigorchuk",
+                             "--max-len", "4", "--alpha", "1")
+        assert code == 1
+        table, verdict = out.split("{", 1)
+        assert table.splitlines()[4] == "4,34,33"
+        assert json.loads("{" + verdict)["verdict"] == "satisfied"
+        assert err == "mismatch at L=4: formula 34 != oracle 33\n"
 
     def test_usage_error_is_two(self, capsys):
         code, _, err = run(capsys, "complexity", "--coding", "a:2 | x:2 y:2",
@@ -324,6 +357,21 @@ class TestReports:
         lines = target.read_text().splitlines()
         assert lines[0] == "E,lyapunov" and len(lines) == 4
         assert all(float(line.split(",")[1]) > 0 for line in lines[1:])
+
+    @pytest.mark.parametrize("argv, first_row", [
+        (("--size", "4"), "j,eigenvalue"),
+        (("--energies", "0:1:2", "--lyapunov", "8"), "E,lyapunov"),
+    ], ids=["size", "energies"])
+    def test_degenerate_spectrum_warns_in_one_line(self, argv, first_row):
+        proc = run_fresh(
+            "import sys; from toeplitz.cli import main; sys.exit(main(sys.argv[1:]))",
+            "spectrum", "--preset", "grigorchuk", *argv)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[0] == first_row
+        assert proc.stderr == (
+            "toeplitz spectrum: warning: all letters map to identical (p, q); "
+            "the induced coefficient system is periodic and spectral "
+            "conclusions for aperiodic operators do not apply\n")
 
     def test_presets_listing(self, capsys):
         code, out, _ = run(capsys, "presets")

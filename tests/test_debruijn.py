@@ -1,14 +1,22 @@
 """De Bruijn graphs, reflection symmetry, and palindrome complexity."""
 
+import random
+from dataclasses import replace
+
+from conftest import periodic_codings
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from toeplitz.complexity import complexity_formula, growth_formula
 from toeplitz.debruijn import (
     DeBruijnGraph,
     GraphAnnotations,
-    arc_structure_report,
     build_graph,
+    contracted_arcs,
     is_strongly_connected,
     palindrome_formula,
     palindrome_oracle,
+    predicted_arcs,
     reflection_check,
     reflection_fixed_points,
     right_special_report,
@@ -148,22 +156,40 @@ class TestPalindromeComplexity:
 
 class TestArcStructure:
     def test_grigorchuk_inner_lengths(self, grig):
-        # stay below the L = |p(k)| boundary, where arc checks are advisory
-        for L in (1, 2, 4, 5, 6, 9, 10):
+        for L in range(1, 40):
             g = build_graph(grig, L)
-            report = arc_structure_report(grig, g)
-            assert report and all(ok for _, ok, _ in report), (L, report)
+            assert contracted_arcs(g) == predicted_arcs(grig, g), L
 
     def test_battery_inner_lengths(self, battery):
         for c in battery[:8]:
             for L in range(1, 10):
-                k = 0
-                while block_length(c, k) < L:
-                    k += 1
-                if L == block_length(c, k):
-                    continue
-                report = arc_structure_report(c, build_graph(c, L))
-                assert all(ok for _, ok, _ in report), (c.spec_string(), L, report)
+                g = build_graph(c, L)
+                assert contracted_arcs(g) == predicted_arcs(c, g), \
+                    (c.spec_string(), L)
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=periodic_codings(), length=st.integers(1, 40))
+    def test_random_codings(self, c, length):
+        g = build_graph(c, length)
+        assert contracted_arcs(g) == predicted_arcs(c, g)
+
+    def test_prediction_reads_no_edges_or_vertices(self, grig):
+        for L in (1, 4, 7, 8):
+            g = build_graph(grig, L)
+            blind = replace(g, vertices=None, edges=None)
+            assert predicted_arcs(grig, blind) == predicted_arcs(grig, g)
+
+    def test_deleted_edges_are_caught(self, battery, grig):
+        rng = random.Random(20251018)
+        for c in [grig] + list(battery[:8]):
+            for L in range(1, 10):
+                g = build_graph(c, L)
+                want = predicted_arcs(c, g)
+                v1_edges = [e for e in g.edges if e[0] == g.annotations.v1]
+                for e in v1_edges + [rng.choice(g.edges)]:
+                    cut = replace(g, edges=tuple(x for x in g.edges if x != e))
+                    assert contracted_arcs(cut) != want, \
+                        (c.spec_string(), L, e)
 
 
 class TestDot:
