@@ -34,8 +34,7 @@ from .coding import (
 from .errors import PrefixTooShort
 from .language import language
 from .verdicts import Status, Verdict, trend_of
-from .words import (DEFAULT_BUDGET, block_length, governing_level, occurrences,
-                    word_prefix)
+from .words import DEFAULT_BUDGET, level, occurrences, word_prefix
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -101,8 +100,7 @@ def estimate_eta(c: Coding, length: int, prefix_length: int,
     """
     if length == 0:
         return EtaEstimate(0, Fraction(1), prefix_length)
-    k = governing_level(c, length)
-    needed = 10 * (block_length(c, k) + 1)
+    needed = 10 * (level(c, length).p + 1)
     if prefix_length < needed:
         raise PrefixTooShort(
             f"need a prefix of at least {needed} symbols for L={length}, "

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .coding import Alphabet, Coding, tail_alphabet
 from .language import host_word, language, palindrome_counts
-from .words import DEFAULT_BUDGET, block, block_length, governing_level
+from .words import DEFAULT_BUDGET, Level, block, level, level_at
 
 
 @dataclass(frozen=True)
@@ -55,16 +55,14 @@ class DeBruijnGraph:
 
 
 def _annotations(c: Coding, length: int, budget: int) -> GraphAnnotations:
-    k = governing_level(c, length, 0)
-    p = block(c, k, budget)
+    lv = level(c, length, 0)
+    p = block(c, lv.k, budget)
     u1, v1 = p[:length], p[-length:]
     u2 = v2 = None
-    if k >= 1 and c.letter(k - 1) in tail_alphabet(c, k):
-        pk1, pk2 = block_length(c, k - 1), block_length(c, k - 2)
-        if pk1 + 1 <= length <= 2 * pk1 - pk2:
-            host = host_word(c, k - 1, c.letter(k - 1), budget)
-            u2, v2 = host[:length], host[-length:]
-    return GraphAnnotations(k, u1, v1, u2, v2)
+    if lv.prev_in and lv.p1 + 1 <= length <= 2 * lv.p1 - lv.p2:
+        host = host_word(c, lv.k - 1, c.letter(lv.k - 1), budget)
+        u2, v2 = host[:length], host[-length:]
+    return GraphAnnotations(lv.k, u1, v1, u2, v2)
 
 
 def build_graph(c: Coding, length: int,
@@ -125,36 +123,29 @@ def reflection_fixed_points(graph: DeBruijnGraph) -> list[bytes]:
     return [v for v in graph.vertices if v == v[::-1]]
 
 
-def palindrome_formula(c: Coding, length: int) -> int:
-    """Closed-form palindrome count among the length-`length` factors.
+def band_palindromes(lv: Level, length: int) -> int:
+    """Palindromes among the length-L factors, L in the band of level lv.
 
-    With r = L mod (|p(k-1)|+1) and rt = L mod (|p(k-2)|+1) in the band
-    |p(k-1)|+1 <= L <= |p(k)|, the count is a sum of parity terms; the
-    final bracket is active exactly when the secondary branch vertex v2
-    exists.
+    With r = L mod (|p(k-1)|+1) and rt = L mod (|p(k-2)|+1) the count is a
+    sum of parity terms; the final bracket is active exactly when the
+    secondary branch vertex v2 exists.
     """
-    if length < 1:
-        raise IndexError("palindrome counts start at length 1")
-    p0 = block_length(c, 0)
-    if length <= p0:
-        return (len(tail_alphabet(c, 0)) - 1) * (length % 2) + 1
-
-    k = governing_level(c, length, 0)
-    pk = block_length(c, k)
-    pk1 = block_length(c, k - 1)
-    pk2 = block_length(c, k - 2)
-    r = length % (pk1 + 1)
-    rt = length % (pk2 + 1)
-
-    value = (len(tail_alphabet(c, k)) - 1) * (length % 2)
-    value += (pk1 + 1 - r) % 2
-    if length <= pk - pk1 - 1:
+    r, rt = length % (lv.p1 + 1), length % (lv.p2 + 1)
+    value = (lv.size - 1) * (length % 2) + (lv.p1 + 1 - r) % 2
+    if length <= lv.p - lv.p1 - 1:
         value += r % 2
     else:
-        value += (r % 2) * int(c.letter(k) in tail_alphabet(c, k + 1))
-    if c.letter(k - 1) in tail_alphabet(c, k) and length <= 2 * pk1 - pk2:
-        value += (rt % 2) + (pk2 + 1 - rt) % 2 - (length % 2)
+        value += (r % 2) * lv.stays
+    if lv.prev_in and length <= 2 * lv.p1 - lv.p2:
+        value += (rt % 2) + (lv.p2 + 1 - rt) % 2 - (length % 2)
     return value
+
+
+def palindrome_formula(c: Coding, length: int) -> int:
+    """Closed-form palindrome count among the length-`length` factors."""
+    if length < 1:
+        raise IndexError("palindrome counts start at length 1")
+    return band_palindromes(level(c, length, 0), length)
 
 
 def palindrome_oracle(c: Coding, length: int,
@@ -174,11 +165,13 @@ def palindrome_profile(c: Coding, max_length: int, with_oracle: bool = False,
                        budget: int = DEFAULT_BUDGET) -> list[PalindromeRow]:
     """Per-L palindrome counts by formula and (optionally) by the eertree."""
     counts = palindrome_counts(c, max_length, budget) if with_oracle else None
-    return [
-        PalindromeRow(L, palindrome_formula(c, L),
-                      None if counts is None else counts[L])
-        for L in range(1, max_length + 1)
-    ]
+    rows, lv = [], level_at(c, 0)
+    for L in range(1, max_length + 1):
+        if lv.p < L:
+            lv = level_at(c, lv.k + 1)
+        rows.append(PalindromeRow(L, band_palindromes(lv, L),
+                                  None if counts is None else counts[L]))
+    return rows
 
 
 def contracted_arcs(graph: DeBruijnGraph
@@ -218,22 +211,20 @@ def predicted_arcs(c: Coding, graph: DeBruijnGraph
     edges.  A u1 apart from v1 and v2 reaches v1 in |p(k-1)|-r edges.
     """
     ann, length = graph.annotations, graph.length
-    k, ak = ann.level, c.letter(ann.level)
-    pk1 = block_length(c, k - 1)
-    r = length % (pk1 + 1)
+    lv = level_at(c, ann.level)
+    r = length % (lv.p1 + 1)
     arcs = {(ann.v1, b): (ann.u1, length + 1)
-            for b in tail_alphabet(c, k) if b != ak}
-    if length < block_length(c, k) - pk1 or ak in tail_alphabet(c, k + 1):
-        arcs[ann.v1, ak] = (ann.u1, r + 1)
+            for b in tail_alphabet(c, lv.k) if b != lv.a}
+    if length < lv.p - lv.p1 or lv.stays:
+        arcs[ann.v1, lv.a] = (ann.u1, r + 1)
     if ann.v2 is not None:
-        pk2 = block_length(c, k - 2)
-        rt = length % (pk2 + 1)
-        ak1 = c.letter(k - 1)
-        arcs[ann.v1, ak1] = (ann.v2, r + 1 + pk2 - rt)
-        arcs[ann.v2, ak1] = (ann.v2, pk2 + 1)
-        arcs[ann.v2, ak] = (ann.u1, r + 1)
+        rt = length % (lv.p2 + 1)
+        ak1 = c.letter(lv.k - 1)
+        arcs[ann.v1, ak1] = (ann.v2, r + 1 + lv.p2 - rt)
+        arcs[ann.v2, ak1] = (ann.v2, lv.p2 + 1)
+        arcs[ann.v2, lv.a] = (ann.u1, r + 1)
     if ann.u1 not in (ann.v1, ann.v2):  # u1 = p(k)[:L] goes on by p(k)[L]
-        arcs[ann.u1, block(c, k)[length]] = (ann.v1, pk1 - r)
+        arcs[ann.u1, block(c, lv.k)[length]] = (ann.v1, lv.p1 - r)
     return arcs
 
 

@@ -23,7 +23,7 @@ from itertools import accumulate
 
 from .coding import Coding, tail_alphabet
 from .errors import BudgetExceeded, WordNotInLanguage
-from .words import DEFAULT_BUDGET, block, block_length, governing_level
+from .words import DEFAULT_BUDGET, block, level
 
 
 def host_word(c: Coding, k: int, letter: int,
@@ -36,7 +36,7 @@ def host_word(c: Coding, k: int, letter: int,
 def enclosing_words(c: Coding, length: int,
                     budget: int = DEFAULT_BUDGET) -> list[bytes]:
     """The words p(k) a p(k), a in A_{k+1}, that exhaust factors up to `length`."""
-    k = governing_level(c, length)
+    k = level(c, length).k
     return [host_word(c, k, a, budget)
             for a in sorted(tail_alphabet(c, k + 1))]
 
@@ -57,8 +57,8 @@ def language(c: Coding, length: int,
 
 def _host_symbols(c: Coding, length: int) -> int:
     """Total length of `enclosing_words(c, length)`, without building them."""
-    k = governing_level(c, length)
-    return len(tail_alphabet(c, k + 1)) * (2 * block_length(c, k) + 1)
+    lv = level(c, length)
+    return lv.size_next * (2 * lv.p + 1)
 
 
 def _check_states(structure: str, states: int, budget: int) -> None:

@@ -39,7 +39,7 @@ from .coding import (
 from .errors import OutOfTheoremRange
 from .language import enclosing_words, language
 from .verdicts import Status, Verdict, trend_of
-from .words import DEFAULT_BUDGET, block_length, governing_level, occurrences
+from .words import DEFAULT_BUDGET, block_length, level, occurrences
 
 
 def _band_start(c: Coding, m: int) -> int:
@@ -106,7 +106,7 @@ def repetitivity_oracle(c: Coding, length: int,
         need = 1 + max(_longest_free(host, w)
                        for host in enclosing_words(c, window, budget)
                        for w in inner)
-        if need <= block_length(c, governing_level(c, window)) + 1:
+        if need <= level(c, window).p + 1:
             return need
         window = need
 

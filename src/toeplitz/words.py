@@ -9,13 +9,16 @@ so |p(k)| + 1 = n_0 * ... * n_k.  Every p(k) is a prefix of p(k+1), which
 pins down a unique one-sided infinite word; its factor set is the language
 of the subshift, so that word is the canonical representative here.  Words
 are bytes of letter indices (alphabets are capped at 255 letters).
+
+A `Level` holds the level-k constants that every closed formula reads, and
+`level` finds the one that governs a length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coding import Coding, scaled_length
+from .coding import Coding, scaled_length, tail_alphabet
 from .errors import BudgetExceeded, InvalidShift
 
 DEFAULT_BUDGET = 1 << 24
@@ -41,40 +44,69 @@ def block_length(c: Coding, k: int) -> int:
     return scaled_length(c, k) - 1
 
 
-def governing_level(c: Coding, length: int, slack: int = 1) -> int:
-    """Least k with |p(k)| + slack >= length.
+@dataclass(frozen=True)
+class Level:
+    """The constants of the band |p(k-1)| + 1 <= L <= |p(k)|.
 
-    Scanning exact block lengths hits band boundaries exactly; logarithms
+    Block lengths below level 0 are 0; |A_{k-1}| = size + (not prev_in).
+    """
+
+    k: int
+    p: int  # |p(k)|
+    p1: int  # |p(k-1)|
+    p2: int  # |p(k-2)|
+    n: int  # n_k
+    a: int  # a_k
+    size: int  # |A_k|
+    size_next: int  # |A_{k+1}|
+    prev_in: bool  # a_{k-1} in A_k; False at k = 0
+    stays: bool  # a_k in A_{k+1}
+
+
+def level_at(c: Coding, k: int) -> Level:
+    """The `Level` record of level k."""
+    if k < 0:
+        raise IndexError("level must be >= 0")
+    here, nxt = tail_alphabet(c, k), tail_alphabet(c, k + 1)
+    return Level(k, block_length(c, k), block_length(c, k - 1),
+                 block_length(c, max(k - 2, -1)), c.period(k), c.letter(k),
+                 len(here), len(nxt), k > 0 and c.letter(k - 1) in here,
+                 c.letter(k) in nxt)
+
+
+def level(c: Coding, length: int, slack: int = 1) -> Level:
+    """The record of the least k with |p(k)| + slack >= length.
+
+    Stepping exact block lengths hits band boundaries exactly; logarithms
     would risk picking the wrong level at L = |p(k)| + slack.
     """
-    k = 0
-    while block_length(c, k) + slack < length:
+    k, scaled = 0, c.period(0)
+    while scaled - 1 + slack < length:
         k += 1
-    return k
+        scaled *= c.period(k)
+    return level_at(c, k)
 
 
 def word_prefix(c: Coding, length: int, budget: int = DEFAULT_BUDGET) -> bytes:
     """The first `length` symbols of the one-sided limit word.
 
-    Only O(length) symbols are materialized even when the enclosing block
-    is much longer than the requested prefix.
+    p(k) = (p(k-1) a_k)^{n_k - 1} p(k-1) starts with repetitions of the
+    chunk p(k-1) a_k, so stopping them once `length` symbols are there is
+    exact and materializes O(length) symbols however long p(k) is.
     """
     if length < 0:
         raise IndexError("prefix length must be >= 0")
-    if length == 0:
-        return b""
     if length > budget:
         raise BudgetExceeded(
             f"prefix of length {length} exceeds the budget of {budget} symbols"
         )
-    if length <= block_length(c, 0):
-        return bytes([c.letter(0)]) * length
-    k = governing_level(c, length, 0)
-    # p(k) = (p(k-1) a_k)^{n_k - 1} p(k-1) and p(k-1) is a prefix of the
-    # repeated chunk, so truncating chunk repetitions is exact
-    chunk = block(c, k - 1, budget) + bytes([c.letter(k)])
-    reps = -(-length // len(chunk))
-    return (chunk * reps)[:length]
+    prefix, k = bytes([c.letter(0)]) * min(length, c.period(0) - 1), 0
+    while len(prefix) < length:
+        k += 1
+        chunk = prefix + bytes([c.letter(k)])
+        reps = min(c.period(k) - 1, -(-length // len(chunk)))
+        prefix = chunk * reps + prefix
+    return prefix[:length]
 
 
 def occurrences(text: bytes, word: bytes) -> list[int]:

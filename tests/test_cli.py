@@ -96,10 +96,10 @@ class TestExitCodes:
     def test_check_mismatch_is_one(self, capsys, monkeypatch):
         import toeplitz.complexity as comp
 
-        real = comp.complexity_formula
+        real = comp.band_complexity
         monkeypatch.setattr(
-            comp, "complexity_formula",
-            lambda c, L: real(c, L) + (1 if L == 3 else 0),
+            comp, "band_complexity",
+            lambda lv, L: real(lv, L) + (1 if L == 3 else 0),
         )
         code, _, err = run(capsys, "complexity", "--preset", "grigorchuk",
                            "--max-len", "4", "--check")
@@ -108,10 +108,10 @@ class TestExitCodes:
     def test_palindrome_mismatch_is_one(self, capsys, monkeypatch):
         import toeplitz.debruijn as db
 
-        real = db.palindrome_formula
+        real = db.band_palindromes
         monkeypatch.setattr(
-            db, "palindrome_formula",
-            lambda c, L: real(c, L) + (1 if L == 2 else 0),
+            db, "band_palindromes",
+            lambda lv, L: real(lv, L) + (1 if L == 2 else 0),
         )
         code, out, err = run(capsys, "palindrome", "--preset", "grigorchuk",
                              "--max-len", "3", "--check")

@@ -12,8 +12,8 @@ from toeplitz.complexity import (
     quotient_extrema,
 )
 from toeplitz.coding import eventual_alphabet, stabilization_index, tail_alphabet
-from toeplitz.language import language
-from toeplitz.presets import parse_coding_spec
+from toeplitz.language import factor_counts, language
+from toeplitz.presets import l_grigorchuk, parse_coding_spec
 from toeplitz.words import block_length
 
 
@@ -94,6 +94,25 @@ class TestCheckpoints:
             assert checkpoint_complexity(two_letter, k) == want
             assert len(language(two_letter, block_length(two_letter, k) + 1)) == want
 
+    def test_checkpoints_and_quotients_match_the_oracle(self, battery, grig):
+        # every band N_ev + 1 <= k <= 6: p(|p(k)| + 1) and the exact
+        # quotients p(L)/L over |p(k-1)| + 2 <= L <= |p(k)| + 1
+        bands = 0
+        for c in list(battery) + [grig, l_grigorchuk(1, 3)]:
+            counts = factor_counts(c, block_length(c, 6) + 1)
+            for k in range(stabilization_index(c) + 1, 7):
+                assert checkpoint_complexity(c, k) == \
+                    counts[block_length(c, k) + 1]
+                qe = quotient_extrema(c, k)
+                lo = block_length(c, k - 1) + 2
+                quotients = [Fraction(counts[L], L)
+                             for L in range(lo, block_length(c, k) + 2)]
+                assert max(quotients) == qe.max_value
+                assert quotients[qe.argmax_length - lo] == qe.max_value
+                assert min(quotients) >= qe.min_lower_bound
+                bands += 1
+        assert bands == 306
+
     def test_equals_formula_at_checkpoint_lengths(self, battery):
         for c in battery[:14]:
             for k in range(4):
@@ -143,6 +162,14 @@ class TestQuotients:
     def test_requires_stabilized_level(self, grig):
         with pytest.raises(ValueError):
             quotient_extrema(grig, 1)
+
+
+def test_profile_equals_the_per_length_functions(battery, grig, two_letter):
+    for c in list(battery) + [grig, two_letter, l_grigorchuk(1, 3)]:
+        top = min(block_length(c, 4) + 2, 300)
+        assert [(r.formula, r.growth) for r in profile(c, top)] == \
+            [(complexity_formula(c, L), growth_formula(c, L))
+             for L in range(top + 1)]
 
 
 def test_profile_rows(grig):

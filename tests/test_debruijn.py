@@ -16,6 +16,7 @@ from toeplitz.debruijn import (
     is_strongly_connected,
     palindrome_formula,
     palindrome_oracle,
+    palindrome_profile,
     predicted_arcs,
     reflection_check,
     reflection_fixed_points,
@@ -146,6 +147,13 @@ class TestPalindromeComplexity:
             for L in range(1, 16):
                 assert palindrome_formula(c, L) == palindrome_oracle(c, L), \
                     (c.spec_string(), L)
+
+    def test_profile_equals_the_per_length_function(self, battery, grig,
+                                                    two_letter):
+        for c in list(battery) + [grig, two_letter]:
+            top = min(block_length(c, 4) + 2, 300)
+            assert [r.formula for r in palindrome_profile(c, top)] == \
+                [palindrome_formula(c, L) for L in range(1, top + 1)]
 
     def test_fixed_point_count_everywhere(self, battery):
         for c in battery[:8]:

@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toeplitz.coding import kappa, tail_alphabet
-from toeplitz.complexity import complexity_formula
-from toeplitz.debruijn import palindrome_formula, palindrome_oracle
+from toeplitz.complexity import complexity_formula, profile
+from toeplitz.debruijn import palindrome_oracle, palindrome_profile
 from toeplitz.errors import BudgetExceeded, WordNotInLanguage
 from toeplitz.language import (
     factor_counts,
-    governing_level,
     language,
     palindrome_counts,
     prefix_factor_set,
     right_extensions,
 )
-from toeplitz.words import block, block_length, word_prefix
+from toeplitz.presets import l_grigorchuk
+from toeplitz.words import block, block_length, level, word_prefix
 
 
 def words_of(c, length):
@@ -67,7 +67,7 @@ class TestLanguage:
         # p(kappa(k)) already contains every factor of length <= |p(k)| + 1
         for c in list(battery[:10]) + [grig]:
             for length in (2, 5, 9):
-                k = governing_level(c, length)
+                k = level(c, length).k
                 prefix = block(c, kappa(c, k))
                 assert set(language(c, length)) == \
                     prefix_factor_set(c, length, prefix)
@@ -106,11 +106,15 @@ class TestOnePassOracles:
                                for L in range(max_len + 1)]
 
     def test_grigorchuk_matches_the_formulas(self, grig):
-        factors = factor_counts(grig, 1000)
-        palindromes = palindrome_counts(grig, 1000)
-        assert factors == [complexity_formula(grig, L) for L in range(1001)]
-        assert palindromes[1:] == [palindrome_formula(grig, L)
-                                   for L in range(1, 1001)]
+        top = 10 ** 5
+        for c in (grig, l_grigorchuk(1, 3)):
+            rows = profile(c, top, with_oracle=True)
+            assert [r.formula for r in rows] == [r.oracle for r in rows]
+            assert [r.growth for r in rows[:-1]] == \
+                [b.oracle - a.oracle for a, b in zip(rows, rows[1:])]
+            rows = palindrome_profile(c, top, with_oracle=True)
+            assert [r.formula for r in rows] == [r.oracle for r in rows]
+            assert len(rows) == top
 
     def test_length_zero_is_the_empty_word(self, grig):
         assert factor_counts(grig, 0) == palindrome_counts(grig, 0) == [1]

@@ -1,12 +1,16 @@
 """Blocks, limit-word prefixes, and hole arithmetic."""
 
 import pytest
+from conftest import periodic_codings
+from hypothesis import given, settings
 
-from toeplitz.coding import tail_alphabet
+from toeplitz.coding import Alphabet, Coding, CodingEntry, GeneratorTail, tail_alphabet
 from toeplitz.errors import BudgetExceeded, InvalidShift
 from toeplitz.words import (
     block,
     block_length,
+    level,
+    level_at,
     undetermined_part,
     word_prefix,
 )
@@ -81,6 +85,16 @@ class TestWordPrefix:
         w = word_prefix(c, 64, budget=1 << 10)
         assert w == bytes([c.alphabet.by_name("x")]) * 64
 
+    def test_needs_no_tail_alphabet(self):
+        # a generator without a declared recurrent alphabet has no certified
+        # tail alphabets, but its blocks and prefixes are still exact
+        ab = Alphabet.from_names("xyz")
+        entries = tuple(CodingEntry(j % 3, 2 + j % 2) for j in range(8))
+        c = Coding(ab, (), GeneratorTail("opaque", entries))
+        p5 = block(c, 5)
+        for length in range(len(p5) + 1):
+            assert word_prefix(c, length) == p5[:length]
+
     def test_reconstruction_blocks_and_separators(self, battery, grig):
         # prefix tiles as p(k) * p(k) * ... with every separator * in A_{k+1};
         # the separators sit exactly on the hole class of shifts r_j = n_j - 1
@@ -98,6 +112,40 @@ class TestWordPrefix:
                     assert chunk[:-1] == p
                     assert chunk[-1] in allowed
                     assert (start + span - 1) in holes
+
+
+class TestLevel:
+    @settings(max_examples=100, deadline=None)
+    @given(c=periodic_codings())
+    def test_fields_are_their_definitions(self, c):
+        for k in range(6):
+            lv = level_at(c, k)
+            assert lv.k == k
+            assert lv.p == block_length(c, k)
+            assert lv.p1 == block_length(c, k - 1)
+            assert lv.p2 == (block_length(c, k - 2) if k >= 2 else 0)
+            assert (lv.n, lv.a) == (c.period(k), c.letter(k))
+            assert lv.size == len(tail_alphabet(c, k))
+            assert lv.size_next == len(tail_alphabet(c, k + 1))
+            assert lv.prev_in == (k >= 1 and c.letter(k - 1) in tail_alphabet(c, k))
+            assert lv.stays == (c.letter(k) in tail_alphabet(c, k + 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(c=periodic_codings())
+    def test_lookup_is_the_least_covering_level(self, c):
+        # merged entries can make |p(4)| huge: every length up to 2000, and
+        # beyond that the lengths around each band edge
+        edges = {block_length(c, k) + d for k in range(5) for d in (0, 1, 2)}
+        for slack in (0, 1):
+            for length in set(range(min(block_length(c, 4), 2000) + 3)) | edges:
+                k = level(c, length, slack).k
+                assert block_length(c, k) + slack >= length
+                assert k == 0 or block_length(c, k - 1) + slack < length
+        assert level(c, 5) == level(c, 5, 1)
+
+    def test_negative_level_rejected(self, grig):
+        with pytest.raises(IndexError):
+            level_at(grig, -1)
 
 
 class TestUndeterminedPart:
