@@ -20,6 +20,7 @@ prefix; the invariant measure is never represented.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -34,7 +35,7 @@ from .coding import (
 from .errors import PrefixTooShort
 from .language import language
 from .verdicts import Status, Verdict, trend_of
-from .words import DEFAULT_BUDGET, level, occurrences, word_prefix
+from .words import DEFAULT_BUDGET, level, word_prefix
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -107,14 +108,13 @@ def estimate_eta(c: Coding, length: int, prefix_length: int,
             f"got {prefix_length}"
         )
     prefix = word_prefix(c, prefix_length, budget)
-    words = language(c, length, budget)
-    totals = [len(occurrences(prefix, w)) for w in words]
     windows = prefix_length - length + 1
-    worst = min(range(len(words)), key=lambda idx: totals[idx])
+    totals = Counter(prefix[i:i + length] for i in range(windows))
+    worst = min(language(c, length, budget), key=totals.__getitem__)
     if totals[worst] == 0:
         raise PrefixTooShort(
-            f"factor {words[worst]!r} never occurs in the first "
+            f"factor {worst!r} never occurs in the first "
             f"{prefix_length} symbols; increase the prefix length"
         )
     return EtaEstimate(length, Fraction(totals[worst], windows),
-                       prefix_length, words[worst])
+                       prefix_length, worst)

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .coding import Alphabet, Coding, tail_alphabet
 from .language import host_word, language, palindrome_counts
-from .words import DEFAULT_BUDGET, Level, block, level, level_at
+from .words import DEFAULT_BUDGET, Level, block, level, level_at, word_prefix
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,7 @@ def predicted_arcs(c: Coding, graph: DeBruijnGraph
         arcs[ann.v2, ak1] = (ann.v2, lv.p2 + 1)
         arcs[ann.v2, lv.a] = (ann.u1, r + 1)
     if ann.u1 not in (ann.v1, ann.v2):  # u1 = p(k)[:L] goes on by p(k)[L]
-        arcs[ann.u1, block(c, lv.k)[length]] = (ann.v1, lv.p1 - r)
+        arcs[ann.u1, word_prefix(c, length + 1)[length]] = (ann.v1, lv.p1 - r)
     return arcs
 
 

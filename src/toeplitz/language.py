@@ -180,10 +180,8 @@ def right_extensions(c: Coding, word: bytes,
     return extensions
 
 
-def prefix_factor_set(c: Coding, length: int, prefix: bytes) -> frozenset[bytes]:
+def prefix_factor_set(length: int, prefix: bytes) -> frozenset[bytes]:
     """Length-`length` factors of an explicit prefix; independent cross-check."""
-    if length == 0:
-        return frozenset((b"",))
     return frozenset(
         prefix[i:i + length] for i in range(len(prefix) - length + 1)
     )

@@ -1,4 +1,4 @@
-"""Repetitivity: closed formula, containment oracle, and alpha-verdicts.
+"""Repetitivity: closed formula, gap-scan oracle, and alpha-verdicts.
 
 R(L) is the least window size whose every factor contains every length-L
 factor.  With m_i the kappa-jump positions, the closed form holds for all
@@ -12,7 +12,7 @@ L >= |p(m_1)| - |p(m_1 - 1)| + 1 and reads, per band i,
 Below the validity range the formula refuses (OutOfTheoremRange) and the
 oracle stands alone.  The oracle never consults the formula: R(L) is one
 more than the longest factor missing some length-L factor, read off the gaps
-between occurrences in the hosts p(K) a p(K) (the return-word view).
+between occurrences (return words, after Durand 1998) in one slide per host.
 
 A subshift is alpha-repetitive when 0 < limsup_i (n_0...n_{kappa(m_i)-1}) /
 (n_0...n_{m_i})^alpha < infinity; alpha = 1 (linear repetitivity) reduces to
@@ -39,7 +39,7 @@ from .coding import (
 from .errors import OutOfTheoremRange
 from .language import enclosing_words, language
 from .verdicts import Status, Verdict, trend_of
-from .words import DEFAULT_BUDGET, block_length, level, occurrences
+from .words import DEFAULT_BUDGET, block_length, level
 
 
 def _band_start(c: Coding, m: int) -> int:
@@ -77,14 +77,25 @@ def formula_valid_from(c: Coding) -> int:
     return _band_start(c, next(islice(jump_indices(c), 1, None)))
 
 
-def _longest_free(host: bytes, word: bytes) -> int:
-    """Length of the longest factor of `host` that does not contain `word`."""
-    occ = occurrences(host, word)
-    if not occ:
+def _longest_miss(host: bytes, words: tuple[bytes, ...]) -> int:
+    """Length of the longest factor of `host` missing some word of `words`.
+
+    `words` share one length and include every such factor of `host`.  The
+    start -1 stands for the host's start; a word that never occurs leaves
+    the whole host free.
+    """
+    length = len(words[0])
+    last: dict[bytes, int] = {}
+    widest = 0
+    for i in range(len(host) - length + 1):
+        w = host[i:i + length]
+        gap = i - last.get(w, -1)
+        if gap > widest:
+            widest = gap
+        last[w] = i
+    if len(last) < len(words):
         return len(host)
-    gaps = (t_next - t for t, t_next in zip(occ, occ[1:]))
-    return max(occ[0] + len(word) - 1, len(host) - occ[-1] - 1,
-               max(gaps, default=0) + len(word) - 2)
+    return max(widest + length - 2, len(host) - 1 - min(last.values()))
 
 
 def repetitivity_oracle(c: Coding, length: int,
@@ -93,19 +104,19 @@ def repetitivity_oracle(c: Coding, length: int,
 
     R(L) is one more than the longest factor that misses some length-L
     factor w.  Within a host p(K) a p(K) the longest w-free factors run
-    between consecutive occurrences of w or out to the host's ends.  Hosts
-    at level K contain every factor up to length |p(K)| + 1, so an answer
-    of at most |p(K)| + 1 is exact; a larger one is a lower bound, and the
-    hosts are rescanned at the level that covers it.
+    between consecutive occurrences of w or out to the host's ends, and one
+    slide per host reads them for every w.  Hosts at level K contain every
+    factor up to length |p(K)| + 1, so an answer of at most |p(K)| + 1 is
+    exact; a larger one is a lower bound, and the hosts are rescanned at the
+    level that covers it.
     """
     if length < 1:
         raise IndexError("repetitivity lengths start at 1")
     inner = language(c, length, budget)
     window = length + 1
     while True:
-        need = 1 + max(_longest_free(host, w)
-                       for host in enclosing_words(c, window, budget)
-                       for w in inner)
+        need = 1 + max(_longest_miss(host, inner)
+                       for host in enclosing_words(c, window, budget))
         if need <= level(c, window).p + 1:
             return need
         window = need

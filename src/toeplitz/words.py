@@ -109,15 +109,6 @@ def word_prefix(c: Coding, length: int, budget: int = DEFAULT_BUDGET) -> bytes:
     return prefix[:length]
 
 
-def occurrences(text: bytes, word: bytes) -> list[int]:
-    """Start positions of every, possibly overlapping, occurrence of `word`."""
-    out, start = [], text.find(word)
-    while start != -1:
-        out.append(start)
-        start = text.find(word, start + 1)
-    return out
-
-
 @dataclass(frozen=True)
 class UndeterminedPart:
     """Residue class modulus*Z + offset of the holes of an approximant."""

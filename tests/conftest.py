@@ -47,7 +47,13 @@ def random_periodic_coding(rng: random.Random) -> Coding:
 
 @st.composite
 def periodic_codings(draw) -> Coding:
-    """Normalized codings: alphabet 2-4, periods 2-3, preperiod <= 2, tail 2-4."""
+    """Normalized codings: alphabet 2-4, preperiod <= 2, tail 2-4.
+
+    Each entry draws a period of 2 or 3, but `normalize` merges equal
+    neighbouring letters and multiplies their periods, so periods above 3
+    occur (up to 54, as in `c:54 | a:2 c:18`); a test that walks every L up
+    to some |p(k)| should cap its range.
+    """
     alphabet = Alphabet.from_names("abcd"[:draw(st.integers(2, 4))])
     entries = st.builds(CodingEntry, st.sampled_from(range(len(alphabet))),
                         st.integers(2, 3))

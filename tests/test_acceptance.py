@@ -144,7 +144,8 @@ def _band_lengths(c, i):
 
 
 def test_criterion_4_repetitivity(grig, battery):
-    with Timer(4, "repetitivity formula vs containment oracle", 300.0):
+    with Timer(4, "repetitivity formula vs one-slide gap oracle, bands 1-3",
+               300.0):
         for L in range(3, 17):
             want = repetitivity_formula(grig, L)
             assert repetitivity_oracle(grig, L) == want, L
@@ -155,7 +156,7 @@ def test_criterion_4_repetitivity(grig, battery):
         for c in battery:
             if scaled_length(c, kappa(c, m_sequence(c, 2))) > 20000:
                 continue
-            for i in (1, 2):
+            for i in (1, 2, 3):
                 for L in _band_lengths(c, i):
                     want = repetitivity_formula(c, L)
                     got = repetitivity_oracle(c, L)

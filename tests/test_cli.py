@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, error context."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -378,6 +379,35 @@ class TestReports:
         assert code == 0
         assert out.splitlines() == ["grigorchuk", "l-grigorchuk(l1,l2,...)",
                                     "liuqu"]
+
+
+# sha256 of the stdout of runs that read the repetitivity oracle and the
+# eta estimate: their bytes are part of the CLI's contract
+STDOUT_DIGESTS = [
+    (("repetitivity", "--preset", "grigorchuk", "--max-len", "64",
+      "--alpha", "1"),
+     "159365c49fbf1c6a072fa27a791f9c03cffb4e970ba969f6a65061ad759ed0b5"),
+    (("repetitivity", "--preset", "l-grigorchuk(1,3)", "--max-len", "64",
+      "--alpha", "1"),
+     "ed150e63ac0a78f2dd986f94c59dfa079b95d99a940554cecfb7757205228cef"),
+    (("repetitivity", "--preset", "grigorchuk", "--max-len", "64"),
+     "9b76fd8ad1e707494e44e11b4b1a69a11e70a7678d4b9955581fd69f4f0a569f"),
+    (("repetitivity", "--preset", "l-grigorchuk(1,3)", "--max-len", "64"),
+     "660d70129732dd73d21936c4b605ea4926d998fe3431c3481781c2a7c383d338"),
+    (("bosh", "--preset", "grigorchuk", "--eta", "6", "--prefix", "8192"),
+     "6788c6c00087705fc43e3c621effc11c086ee787c76e099f955c1b7aa959750d"),
+    (("bosh", "--coding", "a:3 | b:2 c:4 d:2", "--eta", "4",
+      "--prefix", "4096"),
+     "3c41e82a6d6988da6bfeeef0020d8f656dea4f552fce0d37c05808b3a2c954e2"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", STDOUT_DIGESTS,
+                         ids=[" ".join(argv) for argv, _ in STDOUT_DIGESTS])
+def test_stdout_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestImports:

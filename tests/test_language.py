@@ -70,7 +70,7 @@ class TestLanguage:
                 k = level(c, length).k
                 prefix = block(c, kappa(c, k))
                 assert set(language(c, length)) == \
-                    prefix_factor_set(c, length, prefix)
+                    prefix_factor_set(length, prefix)
 
 
 class TestRightExtensions:

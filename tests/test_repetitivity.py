@@ -1,4 +1,4 @@
-"""Repetitivity formula vs containment oracle, and alpha-repetitivity verdicts."""
+"""Repetitivity formula vs gap-scan oracle, and alpha-repetitivity verdicts."""
 
 from fractions import Fraction
 
@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from toeplitz.coding import kappa, m_sequence
 from toeplitz.errors import OutOfTheoremRange
-from toeplitz.language import language
+from toeplitz.language import language, prefix_factor_set
+from toeplitz.presets import grigorchuk, l_grigorchuk
 from toeplitz.repetitivity import (
+    _longest_miss,
     alpha_verdict,
     formula_valid_from,
     repetitivity_formula,
@@ -55,6 +57,12 @@ class TestOracle:
         for L in range(3, 17):
             assert repetitivity_oracle(grig, L) == repetitivity_formula(grig, L)
 
+    @pytest.mark.parametrize("c", [grigorchuk(), l_grigorchuk(1, 3)],
+                             ids=["grigorchuk", "l-grigorchuk(1,3)"])
+    def test_matches_formula_at_every_length_to_128(self, c):
+        for L in range(formula_valid_from(c), 129):
+            assert repetitivity_oracle(c, L) == repetitivity_formula(c, L), L
+
     def test_strictly_monotone(self, grig):
         values = [repetitivity_oracle(grig, L) for L in range(1, 10)]
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -63,6 +71,42 @@ class TestOracle:
         for c in battery[:6]:
             for L in (1, 2, 3):
                 assert repetitivity_oracle(c, L) > L
+
+
+def longest_miss_by_definition(host: bytes, words) -> int:
+    """The longest substring of `host` missing some word, by brute force."""
+    return max(j - i for i in range(len(host) + 1)
+               for j in range(i, len(host) + 1)
+               if any(w not in host[i:j] for w in words))
+
+
+class TestLongestMiss:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), length=st.integers(1, 4),
+           letters=st.integers(2, 3))
+    def test_matches_the_definition(self, data, length, letters):
+        def strings(lo, hi):
+            return st.lists(st.integers(0, letters - 1), min_size=lo,
+                            max_size=hi).map(bytes)
+
+        host = data.draw(strings(length, 14))
+        extra = data.draw(st.lists(strings(length, length), max_size=2))
+        words = tuple(sorted(prefix_factor_set(length, host) | set(extra)))
+        assert _longest_miss(host, words) == \
+            longest_miss_by_definition(host, words)
+
+    @pytest.mark.parametrize("host, words, want", [
+        (b"abab", (b"ab", b"ba", b"bb"), 4),  # bb never occurs
+        (b"aaaa", (b"aa",), 1),  # overlapping occurrences
+        (b"abaab", (b"aa", b"ab", b"ba"), 3),  # ab at both ends
+        (b"abba", (b"a", b"b"), 2),  # a at both ends
+        (b"aab", (b"a", b"b"), 2),  # only the stretch before b's first start
+        (b"baa", (b"a", b"b"), 2),  # only the stretch after b's last start
+    ], ids=["absent-word", "overlapping", "both-ends", "both-ends-letter",
+            "before-first", "after-last"])
+    def test_pinned_cases(self, host, words, want):
+        assert _longest_miss(host, words) == want
+        assert longest_miss_by_definition(host, words) == want
 
 
 def proposition_bounds_hold(c, i):
