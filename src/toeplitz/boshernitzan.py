@@ -6,7 +6,8 @@ equivalent to the existence of indices k_r -> infinity along which
 
     prod_{j = k_r + 1}^{kappa(k_r - 1) - 1} n_j
 
-stays bounded, and it suffices to look along the kappa-jump positions m_i.
+stays bounded, and it suffices to look along the kappa-jump positions m_i,
+whose triples (m_i, kappa(m_i), kappa(m_i - 1)) `coding.jumps` hands out.
 Periodic tails make that witness sequence eventually periodic, so (B) is
 always satisfied there and the verdict is exact.  Generator tails get a
 horizon-qualified verdict only.  When |A_ev| = 3 the product criterion
@@ -28,7 +29,6 @@ from typing import Optional
 from .coding import (
     Coding,
     eventual_alphabet,
-    kappa,
     period_product,
     verdict_jumps,
 )
@@ -74,9 +74,9 @@ def bosh_verdict(c: Coding, horizon: int = 12) -> BoshVerdict:
     """
     ev3 = len(eventual_alphabet(c)) == 3
     jumps, cycle = verdict_jumps(c, horizon)
-    verdict = _bounded_evidence(
-        tuple(period_product(c, m + 1, kappa(c, m - 1)) for m in jumps), cycle)
-    liminf = _bounded_evidence(tuple(c.period(m + 1) for m in jumps),
+    verdict = _bounded_evidence(tuple(
+        period_product(c, m + 1, before) for m, _, before in jumps), cycle)
+    liminf = _bounded_evidence(tuple(c.period(m + 1) for m, _, _ in jumps),
                                cycle).status if ev3 else None
     return BoshVerdict(**vars(verdict), liminf_criterion=liminf)
 

@@ -18,8 +18,10 @@ up to that horizon.
 
 The module also houses the two combinatorial gadgets used by the
 repetitivity and Boshernitzan machinery: ``kappa(k)``, the first index by
-which every letter of the tail alphabet A_{k+1} has been seen again, and the
-sequence (m_i) of indices where kappa strictly increases.
+which every letter of the tail alphabet A_{k+1} has been seen again, and
+``jumps``, one walk over the indices m_i where kappa strictly increases that
+hands out kappa(m_i) and kappa(m_i - 1) with them, so neither consumer calls
+``kappa`` itself.
 """
 
 from __future__ import annotations
@@ -307,22 +309,23 @@ def kappa(c: Coding, k: int) -> int:
     return j
 
 
-def jump_indices(c: Coding) -> Iterator[int]:
-    """m_0 = 0 and then the successive indices where kappa strictly increases.
+def jumps(c: Coding) -> Iterator[tuple[int, int, int]]:
+    """(m_i, kappa(m_i), kappa(m_i - 1)) for i = 1, 2, ..., with m_0 = 0.
 
-    One forward walk over k; it ends only where kappa does (a generator
-    horizon raises HorizonExceeded).
+    m_i is the i-th index where kappa strictly increases.  kappa never
+    decreases, so kappa(m_i - 1) is the value it held before the jump.  One
+    forward walk over k; it ends only where kappa does (a generator horizon
+    raises HorizonExceeded).
     """
-    level = kappa(c, 0)
-    yield 0
+    before = kappa(c, 0)
     for k in count(1):
-        if (top := kappa(c, k)) > level:
-            level = top
-            yield k
+        if (top := kappa(c, k)) > before:
+            yield k, top, before
+            before = top
 
 
 def m_sequence(c: Coding, i: int) -> int:
-    """m_i, the i-th value of `jump_indices`.
+    """m_i: 0 for i = 0, else the index of the i-th triple of `jumps`.
 
     Once the tail alphabet has stabilized this coincides with the backward
     recursion m_{i+1} = max{j <= kappa(m_i) : {a_j..a_{kappa(m_i)}} = A_{m_i+1}};
@@ -332,7 +335,7 @@ def m_sequence(c: Coding, i: int) -> int:
     """
     if i < 0:
         raise IndexError("m-sequence index must be >= 0")
-    return next(islice(jump_indices(c), i, None))
+    return next(islice(jumps(c), i - 1, None))[0] if i else 0
 
 
 def m_cycle(c: Coding) -> tuple[int, int]:
@@ -348,7 +351,7 @@ def m_cycle(c: Coding) -> tuple[int, int]:
     pre_len = len(c.preperiod)
     t = len(c.tail.entries)
     seen: dict[int, int] = {}
-    for i, m in enumerate(islice(jump_indices(c), 1, None), start=1):
+    for i, (m, _, _) in enumerate(jumps(c), start=1):
         if m >= pre_len + 1:
             res = (m - pre_len) % t
             if res in seen:
@@ -359,16 +362,16 @@ def m_cycle(c: Coding) -> tuple[int, int]:
 
 
 def verdict_jumps(c: Coding, horizon: int
-                  ) -> tuple[tuple[int, ...], Union[tuple[int, int], None]]:
-    """(m_1, ..., m_size) for a verdict, and the m-cycle (None if inexact).
+                  ) -> tuple[tuple[tuple[int, int, int], ...],
+                             Union[tuple[int, int], None]]:
+    """The first `size` triples of `jumps`, and the m-cycle (None if inexact).
 
     size is `horizon` on generator tails and max(horizon, start + length)
     on periodic ones, so an exact verdict sees at least one whole cycle.
     """
     cycle = m_cycle(c) if c.is_exact else None
     size = horizon if cycle is None else max(horizon, sum(cycle))
-    jumps = islice(jump_indices(c), 1, None)
-    return tuple(m for _, m in zip(range(size), jumps)), cycle
+    return tuple(islice(jumps(c), size)), cycle
 
 
 def scaled_length(c: Coding, k: int) -> int:

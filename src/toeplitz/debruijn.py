@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coding import Alphabet, Coding, tail_alphabet
-from .language import host_word, language, palindrome_counts
+from .language import language, palindrome_counts
 from .words import DEFAULT_BUDGET, Level, block, level, level_at, word_prefix
 
 
@@ -60,7 +60,8 @@ def _annotations(c: Coding, length: int, budget: int) -> GraphAnnotations:
     u1, v1 = p[:length], p[-length:]
     u2 = v2 = None
     if lv.prev_in and lv.p1 + 1 <= length <= 2 * lv.p1 - lv.p2:
-        host = host_word(c, lv.k - 1, c.letter(lv.k - 1), budget)
+        prev = p[:lv.p1]  # p(k-1) is a prefix of p(k)
+        host = prev + bytes([c.letter(lv.k - 1)]) + prev
         u2, v2 = host[:length], host[-length:]
     return GraphAnnotations(lv.k, u1, v1, u2, v2)
 
@@ -198,11 +199,11 @@ def contracted_arcs(graph: DeBruijnGraph
     return arcs
 
 
-def predicted_arcs(c: Coding, graph: DeBruijnGraph
+def predicted_arcs(c: Coding, length: int
                    ) -> dict[tuple[bytes, int], tuple[bytes, int]]:
     """The paper's arc description as a `contracted_arcs` map.
 
-    Reads only the length L and the annotations, never the edges.  With
+    Reads only the length L and the annotations, never a graph.  With
     r = L mod (|p(k-1)|+1) and rt = L mod (|p(k-2)|+1): v1 reaches u1 in
     L+1 edges by every b in A_k other than a_k, and in r+1 edges by a_k
     unless L >= |p(k)| - |p(k-1)| and a_k is not in A_{k+1}.  When v2
@@ -210,7 +211,7 @@ def predicted_arcs(c: Coding, graph: DeBruijnGraph
     itself by a_{k-1} in |p(k-2)|+1 edges and reaches u1 by a_k in r+1
     edges.  A u1 apart from v1 and v2 reaches v1 in |p(k-1)|-r edges.
     """
-    ann, length = graph.annotations, graph.length
+    ann = _annotations(c, length, DEFAULT_BUDGET)
     lv = level_at(c, ann.level)
     r = length % (lv.p1 + 1)
     arcs = {(ann.v1, b): (ann.u1, length + 1)

@@ -2,8 +2,9 @@
 
 Every factor of length at most |p(k)| + 1 occurs inside p(k) a p(k) for some
 letter a in the tail alphabet A_{k+1} (the enclosing-words lemma), so those
-few explicit hosts hold the whole language up to that length.  Two oracle
-tiers read them, and neither ever sees a formula value:
+few explicit hosts, built around one shared p(k), hold the whole language up
+to that length.  The repetitivity oracle slides over them itself; two
+oracle tiers here read them, and neither ever sees a formula value:
 
 - `language` slides a window of one length over the hosts and returns the
   sorted factor set.  It is the small-L reference and the source of words
@@ -26,19 +27,15 @@ from .errors import BudgetExceeded, WordNotInLanguage
 from .words import DEFAULT_BUDGET, block, level
 
 
-def host_word(c: Coding, k: int, letter: int,
-              budget: int = DEFAULT_BUDGET) -> bytes:
-    """The word p(k) a p(k) for a = `letter`."""
-    p = block(c, k, budget)
-    return p + bytes([letter]) + p
-
-
 def enclosing_words(c: Coding, length: int,
                     budget: int = DEFAULT_BUDGET) -> list[bytes]:
-    """The words p(k) a p(k), a in A_{k+1}, that exhaust factors up to `length`."""
+    """The words p(k) a p(k), a in A_{k+1}, that exhaust factors up to `length`.
+
+    p(k) is built once and shared by every host.
+    """
     k = level(c, length).k
-    return [host_word(c, k, a, budget)
-            for a in sorted(tail_alphabet(c, k + 1))]
+    p = block(c, k, budget)
+    return [p + bytes([a]) + p for a in sorted(tail_alphabet(c, k + 1))]
 
 
 def language(c: Coding, length: int,

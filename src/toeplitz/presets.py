@@ -120,12 +120,29 @@ def _parse_entries(text: str, flag: str) -> list[tuple[str, int]]:
     return out
 
 
+def _coding(names, pre_tokens, tail_tokens, tail=None) -> Coding:
+    """The normalized coding over `names` and then the tokens' new names.
+
+    A generator's own names come first, so its letter indices, and with
+    them its `tail`, stay valid; without a `tail` the tokens make one.
+    """
+    alphabet = Alphabet.from_names(dict.fromkeys(
+        [*names, *(n for n, _ in pre_tokens + tail_tokens)]))
+
+    def entries(tokens):
+        return tuple(CodingEntry(alphabet.by_name(n), p) for n, p in tokens)
+
+    tail = tail or PeriodicTail(entries(tail_tokens))
+    return normalize(Coding(alphabet, entries(pre_tokens), tail))
+
+
 def parse_coding_spec(text: str, periods: Sequence[int] = (2,),
                       flag: str = "--coding") -> Coding:
     """Parse `pre | tail` into a normalized Coding.
 
     `periods` is the cyclic period pattern for generator tails; explicit
-    periodic tails carry their own periods.
+    periodic tails carry their own periods.  A generator has no preperiod
+    of its own, so the spec's preperiod is the coding's.
     """
     if text.count("|") != 1:
         raise ValueError(f"{flag}: spec needs exactly one '|' separator")
@@ -142,31 +159,12 @@ def parse_coding_spec(text: str, periods: Sequence[int] = (2,),
             raise ValueError(f"{flag}: @{name} takes at most one argument, "
                              f"the horizon, got {right!r}")
         base = GENERATORS[name](*args, periods=tuple(periods))
-        if not pre_tokens:
-            return normalize(base)
-        # new preperiod letters go after the generator's own, so its letter
-        # indices, and with them its tail, stay valid
-        names = list(base.alphabet)
-        for n, _ in pre_tokens:
-            if n not in names:
-                names.append(n)
-        alphabet = Alphabet.from_names(names)
-        pre = tuple(CodingEntry(alphabet.by_name(n), p) for n, p in pre_tokens)
-        return normalize(Coding(alphabet, pre, base.tail))
+        return _coding(base.alphabet, pre_tokens, [], base.tail)
 
     tail_tokens = _parse_entries(right, flag)
     if not tail_tokens:
         raise EmptyCoding(f"{flag}: tail must not be empty")
-    names: list[str] = []
-    for n, _ in pre_tokens + tail_tokens:
-        if n not in names:
-            names.append(n)
-    alphabet = Alphabet.from_names(names)
-    pre = tuple(CodingEntry(alphabet.by_name(n), p) for n, p in pre_tokens)
-    tail = PeriodicTail(
-        tuple(CodingEntry(alphabet.by_name(n), p) for n, p in tail_tokens)
-    )
-    return normalize(Coding(alphabet, pre, tail))
+    return _coding([], pre_tokens, tail_tokens)
 
 
 def preset(name: str, periods: Sequence[int] = (2,)) -> Coding:

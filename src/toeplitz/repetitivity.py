@@ -13,6 +13,9 @@ Below the validity range the formula refuses (OutOfTheoremRange) and the
 oracle stands alone.  The oracle never consults the formula: R(L) is one
 more than the longest factor missing some length-L factor, read off the gaps
 between occurrences (return words, after Durand 1998) in one slide per host.
+Each slide also lists its host's factors, and their union is the factor set.
+Both sides read the jump triples (m_i, kappa(m_i), kappa(m_i - 1)) of
+`coding.jumps`: the formula finds its band there, the verdicts their witnesses.
 
 A subshift is alpha-repetitive when 0 < limsup_i (n_0...n_{kappa(m_i)-1}) /
 (n_0...n_{m_i})^alpha < infinity; alpha = 1 (linear repetitivity) reduces to
@@ -25,66 +28,61 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Optional, Union
 
 from .coding import (
     Coding,
-    jump_indices,
-    kappa,
+    jumps,
     log_scaled_length,
     period_product,
     verdict_jumps,
 )
 from .errors import OutOfTheoremRange
-from .language import enclosing_words, language
+from .language import enclosing_words
 from .verdicts import Status, Verdict, trend_of
 from .words import DEFAULT_BUDGET, block_length, level
 
 
-def _band_start(c: Coding, m: int) -> int:
-    """First length of the formula band that starts at jump index m."""
-    return block_length(c, m) - block_length(c, m - 1) + 1
+def _band(c: Coding, length: int) -> tuple[int, int, int]:
+    """|p(m_i)|, |p(m_i - 1)| and |p(kappa(m_i) - 1)| for the band of `length`.
 
-
-def _band_index(c: Coding, length: int) -> int:
-    """The m_i, i >= 1, whose formula band contains `length`."""
-    jumps = islice(jump_indices(c), 1, None)
-    m = next(jumps)
-    if length < _band_start(c, m):
+    The band of m_i, i >= 1, runs from |p(m_i)| - |p(m_i - 1)| + 1 up to the
+    start of the next one.
+    """
+    band = None
+    for m, top, _ in jumps(c):
+        start = block_length(c, m) - block_length(c, m - 1) + 1
+        if start > length:
+            break
+        band = m, top
+    if band is None:
         raise OutOfTheoremRange(
-            f"formula valid only for L >= {_band_start(c, m)}, got {length}"
-        )
-    for m_next in jumps:
-        if _band_start(c, m_next) > length:
-            return m
-        m = m_next
+            f"formula valid only for L >= {start}, got {length}")
+    m, top = band
+    return block_length(c, m), block_length(c, m - 1), block_length(c, top - 1)
 
 
 def repetitivity_formula(c: Coding, length: int) -> int:
     """Closed-form R(length) within the theorem's validity range."""
     if length < 1:
         raise IndexError("repetitivity lengths start at 1")
-    m = _band_index(c, length)
-    top = 2 * block_length(c, kappa(c, m) - 1) + 1
-    if length <= block_length(c, m) + 1:
-        return top - block_length(c, m) + block_length(c, m - 1) + length
-    return top + length
+    p, p1, top = _band(c, length)
+    return 2 * top + 1 + length - (p - p1 if length <= p + 1 else 0)
 
 
 def formula_valid_from(c: Coding) -> int:
     """First length covered by the closed formula."""
-    return _band_start(c, next(islice(jump_indices(c), 1, None)))
+    m = next(jumps(c))[0]
+    return block_length(c, m) - block_length(c, m - 1) + 1
 
 
-def _longest_miss(host: bytes, words: tuple[bytes, ...]) -> int:
-    """Length of the longest factor of `host` missing some word of `words`.
+def _slide(host: bytes, length: int) -> tuple[dict[bytes, int], int]:
+    """Each length-`length` factor's last start in `host`, and the longest
+    factor of `host` that misses one of them.
 
-    `words` share one length and include every such factor of `host`.  The
-    start -1 stands for the host's start; a word that never occurs leaves
-    the whole host free.
+    The longest factors missing w run between consecutive starts of w, the
+    start -1 standing for the host's start, or on from w's last start.
     """
-    length = len(words[0])
     last: dict[bytes, int] = {}
     widest = 0
     for i in range(len(host) - length + 1):
@@ -93,9 +91,7 @@ def _longest_miss(host: bytes, words: tuple[bytes, ...]) -> int:
         if gap > widest:
             widest = gap
         last[w] = i
-    if len(last) < len(words):
-        return len(host)
-    return max(widest + length - 2, len(host) - 1 - min(last.values()))
+    return last, max(widest + length - 2, len(host) - 1 - min(last.values()))
 
 
 def repetitivity_oracle(c: Coding, length: int,
@@ -105,18 +101,21 @@ def repetitivity_oracle(c: Coding, length: int,
     R(L) is one more than the longest factor that misses some length-L
     factor w.  Within a host p(K) a p(K) the longest w-free factors run
     between consecutive occurrences of w or out to the host's ends, and one
-    slide per host reads them for every w.  Hosts at level K contain every
-    factor up to length |p(K)| + 1, so an answer of at most |p(K)| + 1 is
-    exact; a larger one is a lower bound, and the hosts are rescanned at the
-    level that covers it.
+    slide per host reads them for every w.  The hosts hold every length-L
+    factor between them, so a host without some factor is free of it
+    throughout.  Hosts at level K contain every factor up to length
+    |p(K)| + 1, so an answer of at most |p(K)| + 1 is exact; a larger one is
+    a lower bound, and the hosts are rescanned at the level that covers it.
     """
     if length < 1:
         raise IndexError("repetitivity lengths start at 1")
-    inner = language(c, length, budget)
     window = length + 1
     while True:
-        need = 1 + max(_longest_miss(host, inner)
-                       for host in enclosing_words(c, window, budget))
+        hosts = enclosing_words(c, window, budget)
+        slides = [_slide(host, length) for host in hosts]
+        factors = len(set().union(*(last for last, _ in slides)))
+        need = 1 + max(miss if len(last) == factors else len(host)
+                       for host, (last, miss) in zip(hosts, slides))
         if need <= level(c, window).p + 1:
             return need
         window = need
@@ -141,8 +140,7 @@ class AlphaVerdict(Verdict):
 
 def _witness_samples(c: Coding, jumps):
     log_ratios, products, gaps = [], [], []
-    for m in jumps:
-        top = kappa(c, m)
+    for m, top, _ in jumps:
         products.append(period_product(c, m + 1, top))
         gaps.append(top - m)
         log_ratios.append(log_scaled_length(c, top - 1) / log_scaled_length(c, m))

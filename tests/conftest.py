@@ -3,18 +3,38 @@ hypothesis strategy for normalized periodic codings."""
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
+import toeplitz
 from toeplitz.coding import (Alphabet, Coding, CodingEntry, GeneratorTail,
                              PeriodicTail, normalize)
 from toeplitz.presets import grigorchuk, liuqu, parse_coding_spec
 
 BATTERY_SEED = 20250808
 BATTERY_SIZE = 56
+
+# codings whose tail alphabet shrinks at several levels
+SHRINKING = [
+    "e:2 d:3 c:2 | a:2 b:3",     # alphabet drops 5 -> 4 -> 3 -> 2
+    "e:4 d:2 c:3 | a:3 b:2",
+    "c:2 d:2 | a:2 b:2",         # drops while periods stay minimal
+    "d:3 c:4 | b:2 a:4 b:3 a:2",
+    "c:3 | x:2 y:2 z:2",         # one dropout, three-letter eventual
+]
+
+
+def child_env() -> dict[str, str]:
+    """The environment with this `toeplitz` package's directory first on
+    PYTHONPATH, so a child interpreter imports the same code."""
+    src = str(Path(toeplitz.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
 def random_periodic_coding(rng: random.Random) -> Coding:

@@ -13,6 +13,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from conftest import child_env
 
 from toeplitz.boshernitzan import bosh_verdict
 from toeplitz.coding import eventual_alphabet, kappa, m_sequence, scaled_length
@@ -130,7 +131,7 @@ def test_criterion_3_debruijn_structure(battery):
                 assert degree_slack == growth_formula(c, L)
                 assert len(reflection_fixed_points(graph)) == \
                     palindrome_formula(c, L)
-                assert contracted_arcs(graph) == predicted_arcs(c, graph)
+                assert contracted_arcs(graph) == predicted_arcs(c, L)
 
 
 def _band_lengths(c, i):
@@ -267,7 +268,7 @@ def _run_cli(command, directory: Path):
     argv = [arg.format(d=directory) for arg in command]
     proc = subprocess.run(
         [sys.executable, "-m", "toeplitz", *argv],
-        capture_output=True, check=False,
+        capture_output=True, check=False, env=child_env(),
     )
     assert proc.returncode == 0, (argv, proc.stderr.decode())
     files = {

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import child_env
 
 from toeplitz.cli import main
 
@@ -19,7 +20,8 @@ def run(capsys, *argv):
 def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
     """Run `script` in a new interpreter, so imports and warnings start clean."""
     return subprocess.run([sys.executable, "-c", script, *args],
-                          capture_output=True, text=True, check=False)
+                          capture_output=True, text=True, check=False,
+                          env=child_env())
 
 
 class TestGen:
@@ -381,8 +383,8 @@ class TestReports:
                                     "liuqu"]
 
 
-# sha256 of the stdout of runs that read the repetitivity oracle and the
-# eta estimate: their bytes are part of the CLI's contract
+# sha256 of the stdout of runs that read the repetitivity oracle, the kappa
+# jumps and the eta estimate: their bytes are part of the CLI's contract
 STDOUT_DIGESTS = [
     (("repetitivity", "--preset", "grigorchuk", "--max-len", "64",
       "--alpha", "1"),
@@ -399,6 +401,15 @@ STDOUT_DIGESTS = [
     (("bosh", "--coding", "a:3 | b:2 c:4 d:2", "--eta", "4",
       "--prefix", "4096"),
      "3c41e82a6d6988da6bfeeef0020d8f656dea4f552fce0d37c05808b3a2c954e2"),
+    (("bosh", "--preset", "liuqu", "--horizon", "12"),
+     "f7d87d27e9f7c9e1d862eeaf2b3e9b05b23b441a3bab678fe93c9a44baaecc99"),
+    (("repetitivity", "--preset", "liuqu", "--alpha", "1", "--horizon", "8"),
+     "a0941000d616acc94cf6575da575a638e0db751b6e8d5ddba213afb31b223f16"),
+    (("bosh", "--coding", "e:2 d:3 c:2 | a:2 b:3"),
+     "86cab57cad6b27c1837c57bebc5aeac6216ec532247f28d42f2cdae322b3a983"),
+    (("repetitivity", "--coding", "e:2 d:3 c:2 | a:2 b:3", "--alpha", "1",
+      "--max-len", "40"),
+     "16591ff039310d0aa808b63330db563cf5e71d3a3a6759d6f2fc90fb44b91bef"),
 ]
 
 

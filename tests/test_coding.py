@@ -1,6 +1,9 @@
 """Coding construction, normalization, tail alphabets, kappa and (m_i)."""
 
+from itertools import islice
+
 import pytest
+from conftest import SHRINKING, squaring_coding
 
 from toeplitz.coding import (
     Alphabet,
@@ -9,6 +12,7 @@ from toeplitz.coding import (
     GeneratorTail,
     PeriodicTail,
     eventual_alphabet,
+    jumps,
     kappa,
     m_cycle,
     m_sequence,
@@ -142,6 +146,19 @@ class TestKappa:
 
 
 class TestMSequence:
+    def test_jumps_are_the_kappa_values(self, battery, grig, liu_qu):
+        codings = [*battery, grig, liu_qu, squaring_coding(),
+                   *map(parse_coding_spec, SHRINKING)]
+        for c in codings:
+            triples = list(islice(jumps(c), 8))
+            for i, (m, top, before) in enumerate(triples, start=1):
+                assert (m, top, before) == \
+                    (m_sequence(c, i), kappa(c, m), kappa(c, m - 1))
+            # the m_i are exactly the indices where kappa increases
+            assert [m for m, _, _ in triples] == [
+                k for k in range(1, triples[-1][0] + 1)
+                if kappa(c, k) > kappa(c, k - 1)]
+
     def test_grigorchuk_identity(self, grig):
         assert [m_sequence(grig, i) for i in range(7)] == list(range(7))
 

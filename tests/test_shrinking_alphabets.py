@@ -7,6 +7,7 @@ band dispatch.
 """
 
 import pytest
+from conftest import SHRINKING
 
 from toeplitz.complexity import complexity_formula, growth_formula
 from toeplitz.debruijn import (
@@ -20,15 +21,6 @@ from toeplitz.language import language
 from toeplitz.presets import parse_coding_spec
 from toeplitz.repetitivity import repetitivity_formula, repetitivity_oracle
 from toeplitz.words import block_length
-
-SHRINKING = [
-    "e:2 d:3 c:2 | a:2 b:3",     # alphabet drops 5 -> 4 -> 3 -> 2
-    "e:4 d:2 c:3 | a:3 b:2",
-    "c:2 d:2 | a:2 b:2",         # drops while periods stay minimal
-    "d:3 c:4 | b:2 a:4 b:3 a:2",
-    "c:3 | x:2 y:2 z:2",         # one dropout, three-letter eventual
-]
-
 
 @pytest.fixture(scope="module", params=SHRINKING)
 def shrinking(request):
