@@ -238,47 +238,39 @@ def _cmd_bosh(c: Coding, args) -> int:
     return 0
 
 
-def _parse_coeff(c: Coding, qspec: str, pspec: str
-                 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The (p, q) values per letter from the --p and --q maps."""
-    def parse_one(spec: str, flag: str, default: float) -> list[float]:
-        values = [default] * len(c.alphabet)
-        for item in spec.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if "=" not in item:
-                raise ValueError(f"{flag}: bad assignment {item!r}")
-            name, raw = item.split("=", 1)
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{flag}: {name} must be a number, got {raw!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise ValueError(f"{flag}: {name} must be finite, got {raw!r}")
-            if name == "const":
-                values = [value] * len(c.alphabet)
-            else:
-                try:
-                    letter = c.alphabet.by_name(name)
-                except KeyError:
-                    raise ValueError(
-                        f"{flag}: unknown letter {name!r} in {item!r}"
-                    ) from None
-                values[letter] = value
-        return values
-
-    q = parse_one(qspec, "--q", 0.0)
-    p = parse_one(pspec, "--p", 1.0)
-    return tuple(p), tuple(q)
+def _parse_coeff(c: Coding, spec: str, flag: str,
+                 default: float) -> dict[str, float]:
+    """Letter name -> value from a --p or --q map."""
+    values = dict.fromkeys(c.alphabet, default)
+    for item in spec.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        if "=" not in item:
+            raise ValueError(f"{flag}: bad assignment {item!r}")
+        name, raw = item.split("=", 1)
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"{flag}: {name} must be a number, "
+                             f"got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{flag}: {name} must be finite, got {raw!r}")
+        if name == "const":
+            values = dict.fromkeys(values, value)
+        elif name in values:
+            values[name] = value
+        else:
+            raise ValueError(f"{flag}: unknown letter {name!r} in {item!r}")
+    return values
 
 
 def _cmd_spectrum(c: Coding, args) -> int:
     from . import spectral
 
-    coeff = spectral.CoefficientMap(c.alphabet, *_parse_coeff(c, args.q, args.p))
+    coeff = spectral.CoefficientMap.from_names(
+        c.alphabet, q=_parse_coeff(c, args.q, "--q", 0.0),
+        p=_parse_coeff(c, args.p, "--p", 1.0))
     if args.energies:
         try:
             lo, hi, steps = args.energies.split(":")

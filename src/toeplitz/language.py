@@ -40,16 +40,27 @@ def enclosing_words(c: Coding, length: int,
 
 def language(c: Coding, length: int,
              budget: int = DEFAULT_BUDGET) -> tuple[bytes, ...]:
-    """The sorted length-`length` factors; (empty word,) for length 0."""
+    """The sorted length-`length` factors; (empty word,) for length 0.
+
+    Distinct words times `length` count against `budget` as the set grows.
+    """
     if length < 0:
         raise IndexError("word length must be >= 0")
     if length == 0:
         return (b"",)
-    return tuple(sorted({
-        w[i:i + length]
-        for w in enclosing_words(c, length, budget)
-        for i in range(len(w) - length + 1)
-    }))
+    most = budget // length
+    factors: set[bytes] = set()
+    for w in enclosing_words(c, length, budget):
+        start, stop = 0, len(w) - length + 1
+        while start < stop:
+            # a window adds at most one word: this chunk ends one past the cap
+            end = min(stop, start + most - len(factors) + 1)
+            factors |= {w[i:i + length] for i in range(start, end)}
+            if len(factors) > most:
+                raise BudgetExceeded(f"the length-{length} factor set exceeds "
+                                     f"the budget of {budget} symbols")
+            start = end
+    return tuple(sorted(factors))
 
 
 def _host_symbols(c: Coding, length: int) -> int:

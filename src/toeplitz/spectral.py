@@ -12,11 +12,18 @@ J psi = E psi propagate through the one-step matrices
             [1, 0]]
 
 whose ordered products form the cocycle; the factor at position k reads
-the letters at k+1 and k+2.  Finite sections are truncations to positions
-0..N-1 of the one-sided representative word with zero boundary conditions:
-real symmetric tridiagonal matrices whose spectra approximate the operator
-spectrum.  Cantor structure or measure-zero claims are never asserted here;
-only cover-length trends are reported.
+the letters at k+1 and k+2.  Two walks compute those products:
+`transfer_cocycle` multiplies `TransferMatrix` values, exactly when the
+coefficients and E are Fractions, and `lyapunov_over_grid` carries float
+products for a whole energy grid at once and turns them into Lyapunov
+estimates (one energy is a one-element grid).  The tests hold the float
+walk to the exact one.
+
+Finite sections are truncations to positions 0..N-1 of the one-sided
+representative word with zero boundary conditions: real symmetric
+tridiagonal matrices whose spectra approximate the operator spectrum.
+Cantor structure or measure-zero claims are never asserted here; only
+cover-length trends are reported.
 """
 
 from __future__ import annotations
@@ -118,9 +125,6 @@ class TransferMatrix:
         gap = max(f * f - 4 * det * det, 0.0)
         return math.sqrt((f + math.sqrt(gap)) / 2)
 
-    def max_abs(self) -> float:
-        return max(abs(float(v)) for v in (self.a, self.b, self.c, self.d))
-
 
 def _div(a: Number, b: Number) -> Number:
     # keep int/int exact instead of decaying to float
@@ -165,45 +169,6 @@ class LyapunovEstimate:
 
 
 RENORM_EVERY = 32
-
-
-def lyapunov_estimate(c: Coding, coeff: CoefficientMap, E: Number, n: int,
-                      budget: int = DEFAULT_BUDGET) -> LyapunovEstimate:
-    """(1/n) log ||cocycle(n)|| with periodic renormalization.
-
-    The running product is rescaled by its largest entry every few steps
-    and the log accumulated separately, so n ~ 2^16 stays inside float
-    range without changing the average.
-    """
-    if n < 1:
-        raise IndexError("lyapunov estimates need n >= 1")
-    _warn_if_degenerate(coeff)
-    word = word_prefix(c, n + 2, budget)
-    checkpoints = sorted({max(1, n // 4), max(1, n // 2), n})
-    samples = []
-    running = TransferMatrix.identity()
-    log_scale = 0.0
-    e_float = float(E)
-    for k in range(n):
-        first, second = word[k + 1], word[k + 2]
-        p1, p2 = float(coeff.p(first)), float(coeff.p(second))
-        q1 = float(coeff.q(first))
-        running = TransferMatrix(
-            (e_float - q1) / p2, -p1 / p2, 1.0, 0.0
-        ) @ running
-        if (k + 1) % RENORM_EVERY == 0:
-            scale = running.max_abs()
-            if scale > 0:
-                running = TransferMatrix(
-                    running.a / scale, running.b / scale,
-                    running.c / scale, running.d / scale,
-                )
-                log_scale += math.log(scale)
-        if k + 1 in checkpoints:
-            norm = running.operator_norm()
-            value = (log_scale + math.log(max(norm, 1e-300))) / (k + 1)
-            samples.append((k + 1, value))
-    return LyapunovEstimate(e_float, n, samples[-1][1], tuple(samples))
 
 
 @dataclass(frozen=True)
@@ -278,14 +243,16 @@ def energy_grid(lo: float, hi: float, steps: int) -> list[float]:
 def lyapunov_over_grid(c: Coding, coeff: CoefficientMap,
                        energies: Sequence[Number], n: int,
                        budget: int = DEFAULT_BUDGET) -> list[LyapunovEstimate]:
-    """`lyapunov_estimate` at every energy, from one walk along the word.
+    """(1/k) log ||cocycle(k)|| at k = n/4, n/2, n for every energy, in one walk.
 
-    The four entries of the running products are numpy arrays indexed by
-    energy.  Each step repeats the float operations of
-    `TransferMatrix.__matmul__` in the same order, the renormalization
-    scale is Python's `max` of the four `abs` values and its log comes from
-    `math.log` (np.log may differ from libm in the last ulp), so every value
-    and sample equals the scalar loop's exactly.
+    The running products' four entries are numpy arrays indexed by energy,
+    rescaled by their largest entry every RENORM_EVERY steps with the log
+    kept apart, so n ~ 2^16 stays inside float range.  Every operation is
+    elementwise, so an energy's result does not depend on the rest of the
+    grid.  The pinned `E,lyapunov` CSV bytes fix the float operations: each
+    step repeats `TransferMatrix.__matmul__` in order (`1.0 * a + 0.0 * c`
+    too), the scale is Python's `max` of the `abs` values and its log is
+    `math.log`, since np.log may differ from libm in the last ulp.
     """
     if n < 1:
         raise IndexError("lyapunov estimates need n >= 1")

@@ -181,8 +181,12 @@ class TestExitCodes:
         (("palindrome", "--preset", "grigorchuk", "--check", "--max-len", "40",
           "--budget", "100"),
          "the eertree needs up to 383 states, which exceeds the budget of 100"),
+        (("language", "--preset", "grigorchuk", "-L", "8000"),
+         "the length-8000 factor set exceeds the budget of 16777216 symbols"),
+        (("debruijn", "--preset", "grigorchuk", "-L", "4000"),
+         "the length-4001 factor set exceeds the budget of 16777216 symbols"),
     ], ids=["gen", "repetitivity", "spectrum", "energies", "complexity",
-            "palindrome"])
+            "palindrome", "language", "debruijn"])
     def test_budget_error_is_three(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)
         assert code == 3 and message in err.lower()
@@ -410,6 +414,9 @@ STDOUT_DIGESTS = [
     (("repetitivity", "--coding", "e:2 d:3 c:2 | a:2 b:3", "--alpha", "1",
       "--max-len", "40"),
      "16591ff039310d0aa808b63330db563cf5e71d3a3a6759d6f2fc90fb44b91bef"),
+    (("spectrum", "--preset", "grigorchuk", "--q", "a=0,x=1,y=2,z=3",
+      "--energies=-3:6:121", "--lyapunov", "4096"),
+     "cd74cfbc3cb8b023739f5da78b51ea314ea58dc9dc7daf9cf443dd15d4063bdc"),
 ]
 
 

@@ -3,9 +3,13 @@
 import math
 import random
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from conftest import periodic_codings
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toeplitz.presets import preset
 from toeplitz.spectral import (
@@ -15,7 +19,6 @@ from toeplitz.spectral import (
     energy_grid,
     finite_section,
     finite_section_spectrum,
-    lyapunov_estimate,
     lyapunov_over_grid,
     spectral_bounds,
     step_matrix,
@@ -33,6 +36,46 @@ def grig_coeff(grig):
 @pytest.fixture(scope="module")
 def free_coeff(grig):
     return CoefficientMap.constant(grig.alphabet)
+
+
+def one_energy_estimate(c, coeff, E, n):
+    """The grid's estimate at one energy."""
+    [est] = lyapunov_over_grid(c, coeff, [E], n)
+    return est
+
+
+def exact_log_norm(m: TransferMatrix) -> float:
+    """log of the largest singular value of a matrix of Fractions.
+
+    sigma_max^2 = (f + sqrt(f^2 - 4 det^2)) / 2 with f the squared Frobenius
+    norm; f and the discriminant are exact, and the square root and log
+    run in 60-digit decimals.
+    """
+    f = Fraction(m.a ** 2 + m.b ** 2 + m.c ** 2 + m.d ** 2)
+    disc = f * f - 4 * Fraction(m.det()) ** 2
+    with localcontext() as ctx:
+        ctx.prec = 60
+        f_dec = Decimal(f.numerator) / f.denominator
+        disc_dec = Decimal(disc.numerator) / disc.denominator
+        return float(((f_dec + disc_dec.sqrt()) / 2).ln() / 2)
+
+
+def assert_grid_is_exact(c, coeff, energies, n):
+    """Every grid value and sample is log sigma_max(M_k) / k of the exact
+    product: log sigma_max within 1e-12 relative, or within 1e-12 where it
+    is below 1 (there float rounding of the coefficients alone leaves
+    ~1e-14, and sigma_max itself still agrees within 1e-12 relative)."""
+    exact = CoefficientMap(c.alphabet, tuple(map(Fraction, coeff.p_values)),
+                           tuple(map(Fraction, coeff.q_values)))
+    steps = sorted({max(1, n // 4), max(1, n // 2), n})
+    for est in lyapunov_over_grid(c, coeff, energies, n):
+        assert [k for k, _ in est.samples] == steps
+        assert est.value == est.samples[-1][1]
+        for k, got in est.samples:
+            m = transfer_cocycle(c, exact, Fraction(est.energy), k)
+            want = exact_log_norm(m) / k
+            assert abs(got - want) <= 1e-12 * max(abs(want), 1 / k), \
+                (est.energy, k)
 
 
 @pytest.fixture(autouse=True)
@@ -97,13 +140,13 @@ class TestCocycle:
 
 class TestLyapunov:
     def test_free_energy_zero_vanishes(self, grig, free_coeff):
-        est = lyapunov_estimate(grig, free_coeff, 0.0, 2048)
+        est = one_energy_estimate(grig, free_coeff, 0.0, 2048)
         assert abs(est.value) <= 1e-9
 
     def test_positive_outside_spectrum(self, grig, grig_coeff):
         lo, hi = spectral_bounds(grig_coeff)
         for energy in (hi + 1.0, lo - 1.0):
-            est = lyapunov_estimate(grig, grig_coeff, energy, 4096)
+            est = one_energy_estimate(grig, grig_coeff, energy, 4096)
             assert est.value > 0
             assert all(v > 0 for _, v in est.samples)
 
@@ -112,35 +155,51 @@ class TestLyapunov:
         # zero: the estimate stays finite, nonnegative and keeps shrinking
         # (norms grow subexponentially), so n/2 -> n stability can only be
         # asked of hyperbolic energies.
-        est = lyapunov_estimate(grig, grig_coeff, 0.0, 1 << 16)
+        est = one_energy_estimate(grig, grig_coeff, 0.0, 1 << 16)
         assert est.value >= 0
         values = [v for _, v in est.samples]
         assert values[0] > values[1] > values[2]
         assert est.value <= 2e-4
-        hyper = lyapunov_estimate(grig, grig_coeff, 8.0, 1 << 16)
+        hyper = one_energy_estimate(grig, grig_coeff, 8.0, 1 << 16)
         half = dict(hyper.samples)[1 << 15]
         assert abs(hyper.value - half) <= 0.1 * max(abs(hyper.value), abs(half))
 
     def test_survives_huge_products(self, grig, grig_coeff):
         # hyperbolic energy, 2^16 steps: raw entries overflow without
         # renormalization
-        est = lyapunov_estimate(grig, grig_coeff, 8.0, 1 << 16)
+        est = one_energy_estimate(grig, grig_coeff, 8.0, 1 << 16)
         assert math.isfinite(est.value) and est.value > 1.0
 
-    @pytest.mark.parametrize("p", [None, {"a": 1.5, "x": 0.5, "y": 2.5,
-                                          "z": 1.25}], ids=["unit-p", "varied-p"])
+    @pytest.mark.parametrize("p, n", [
+        (None, 1000), ({"a": 1.5, "x": 0.5, "y": 2.5, "z": 1.25}, 256),
+    ], ids=["unit-p", "varied-p"])
     @pytest.mark.parametrize("coding", ["grigorchuk", "l-grigorchuk(1,3)"])
-    def test_grid_equals_scalar_loop(self, coding, p):
+    def test_grid_equals_exact_cocycle(self, coding, p, n):
         c = preset(coding)
         coeff = CoefficientMap.from_names(
             c.alphabet, q={"a": 0, "x": 1, "y": 2, "z": 3}, p=p)
         lo, hi = spectral_bounds(coeff)
+        assert_grid_is_exact(c, coeff, energy_grid(lo - 1.0, hi + 1.0, 19), n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(c=periodic_codings(), data=st.data(), n=st.integers(1, 96))
+    def test_grid_equals_exact_cocycle_on_periodic_codings(self, c, data, n):
+        small = st.fractions(-3, 3, max_denominator=8)
+        nonzero = small.filter(bool)
+        coeff = CoefficientMap(
+            c.alphabet,
+            tuple(data.draw(nonzero) for _ in c.alphabet),
+            tuple(data.draw(small) for _ in c.alphabet))
+        energies = [float(data.draw(small)) for _ in range(3)]
+        assert_grid_is_exact(c, coeff, energies, n)
+
+    def test_grid_energies_are_independent(self, grig, grig_coeff):
+        lo, hi = spectral_bounds(grig_coeff)
         grid = energy_grid(lo - 1.0, hi + 1.0, 19)
         n = 1000
         assert n % RENORM_EVERY
-        got = lyapunov_over_grid(c, coeff, grid, n)
-        # exact: energies, values and samples, not approx
-        assert got == [lyapunov_estimate(c, coeff, E, n) for E in grid]
+        assert lyapunov_over_grid(grig, grig_coeff, grid, n) == \
+            [one_energy_estimate(grig, grig_coeff, E, n) for E in grid]
 
     def test_grid_edge_cases(self, grig, grig_coeff):
         assert lyapunov_over_grid(grig, grig_coeff, [], 64) == []
