@@ -22,8 +22,11 @@ walk to the exact one.
 Finite sections are truncations to positions 0..N-1 of the one-sided
 representative word with zero boundary conditions: real symmetric
 tridiagonal matrices whose spectra approximate the operator spectrum.
-Cantor structure or measure-zero claims are never asserted here; only
-cover-length trends are reported.
+They stay as a diagonal and an off-diagonal; LAPACK's tridiagonal
+`dsterf`, reached through scipy (imported only there), takes their
+eigenvalues in O(N^2) time and O(N) memory, the same floats a dense
+solver gives.  Cantor structure or measure-zero claims are never
+asserted here; only cover-length trends are reported.
 """
 
 from __future__ import annotations
@@ -207,13 +210,29 @@ def finite_section(c: Coding, coeff: CoefficientMap, size: int,
     return diag, off
 
 
+_TINY_OVER_EPS = np.finfo(float).tiny / np.finfo(float).eps
+_RMIN = math.sqrt(_TINY_OVER_EPS)
+_RMAX = math.sqrt(1.0 / _TINY_OVER_EPS)
+
+
 def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
                             budget: int = DEFAULT_BUDGET) -> SpectrumApproximation:
     """Eigenvalues of the finite section, sorted ascending.
 
-    The matrix is real symmetric tridiagonal; a dense symmetric
-    eigensolver is exact enough at desk scales (N <= a few thousand).
-    Its N * N entries count against `budget`.
+    LAPACK's `dsterf` (root-free QL/QR) runs on the diagonal and
+    off-diagonal directly, in O(N^2) time and O(N) memory, and returns the
+    same floats as the dense `np.linalg.eigvalsh`: its `dsyevd` leaves a
+    tridiagonal matrix as it is and calls `dsterf` too, after two steps
+    repeated here.  It scales the matrix by sigma when the largest entry
+    lies outside [sqrt(tiny/eps), sqrt(eps/tiny)] and multiplies the
+    eigenvalues by 1/sigma; and its dense sum turns a -0.0 diagonal entry
+    into 0.0, hence `+ 0.0`.  scipy's other drivers differ from it in the
+    last ulp on some inputs.
+
+    A size-N section still counts N * N entries against `budget`, as the
+    dense solver did, so `--budget` stops the same sizes.  scipy is
+    imported here, not at module level, to keep it off the start-up of
+    the Lyapunov scan and of every other command.
     """
     if size >= 2 and size * size > budget:
         raise BudgetExceeded(
@@ -222,9 +241,17 @@ def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
         )
     diag, off = finite_section(c, coeff, size, budget)
     _warn_if_degenerate(coeff)
-    matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    eigenvalues = np.linalg.eigvalsh(matrix)
-    return SpectrumApproximation(tuple(float(v) for v in eigenvalues))
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    norm = max(np.abs(diag).max(), np.abs(off).max())
+    sigma = 1.0
+    if 0 < norm < _RMIN:
+        sigma = _RMIN / norm
+    elif norm > _RMAX:
+        sigma = _RMAX / norm
+    eigenvalues = eigvalsh_tridiagonal((diag + 0.0) * sigma, off * sigma,
+                                       lapack_driver="sterf") * (1.0 / sigma)
+    return SpectrumApproximation(tuple(eigenvalues.tolist()))
 
 
 def spectral_bounds(coeff: CoefficientMap) -> tuple[float, float]:

@@ -447,6 +447,8 @@ class TestImports:
             ["debruijn", "--preset", "grigorchuk", "-L", "3"],
             ["repetitivity", "--preset", "grigorchuk", "--alpha", "1"],
             ["bosh", "--preset", "grigorchuk", "--eta", "2", "--prefix", "64"],
+            ["spectrum", "--preset", "grigorchuk", "--energies=-3:6:5",
+             "--lyapunov", "64"],
             ["spectrum", "--preset", "grigorchuk", "--size", "4"],
         ]
         proc = run_fresh(
@@ -455,9 +457,11 @@ class TestImports:
             "seen = []\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    code = main(argv)\n"
-            "    seen.append([argv[0], code, 'numpy' in sys.modules])\n"
+            "    seen.append([argv[0], code, 'numpy' in sys.modules,\n"
+            "                 'scipy' in sys.modules])\n"
             "print(json.dumps(seen), file=sys.stderr)\n",
             json.dumps(commands))
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stderr.splitlines()[-1])
-        assert seen == [[argv[0], 0, argv[0] == "spectrum"] for argv in commands]
+        assert seen == [[argv[0], 0, argv[0] == "spectrum", "--size" in argv]
+                        for argv in commands]

@@ -6,8 +6,9 @@ import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from conftest import periodic_codings
+from conftest import make_battery, periodic_codings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -253,6 +254,65 @@ class TestFiniteSections:
         small = finite_section_spectrum(grig, grig_coeff, 256)
         large = finite_section_spectrum(grig, grig_coeff, 512)
         assert large.cover_length(0.05) <= small.cover_length(0.05) + 0.1
+
+
+def dense_eigenvalues(diag, off) -> list[str]:
+    """The reference: numpy's dense solver on the assembled matrix, as reprs."""
+    matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return [repr(float(v)) for v in np.linalg.eigvalsh(matrix)]
+
+
+def assert_matches_dense(c, coeff, size):
+    diag, off = finite_section(c, coeff, size)
+    got = finite_section_spectrum(c, coeff, size).eigenvalues
+    assert [repr(v) for v in got] == dense_eigenvalues(diag, off), size
+
+
+# (q, p) as functions of the letter index.  "signed-zero" makes the solver
+# split off -0.0 eigenvalues; "huge" and "tiny" put the largest entry above
+# sqrt(eps/tiny) and below sqrt(tiny/eps), where the matrix is scaled
+SECTION_MAPS = {
+    "index": (lambda i: float(i), lambda i: 1.0),
+    "negative-p": (lambda i: 1.5 - i, lambda i: (-1) ** i * (i + 0.5)),
+    "signed-zero": (lambda i: 1.0 if i == 2 else -0.0,
+                    lambda i: (-1.0, 1e-300, 2.0, 1.0, 3.0)[i]),
+    "huge": (lambda i: (i - 1.5) * 1e300, lambda i: (-1) ** i * (i + 2) * 3e299),
+    "tiny": (lambda i: -(i + 3) * 1e-300, lambda i: (-1) ** i * (i + 2) * 1e-300),
+}
+SECTION_CODINGS = {"grigorchuk": preset("grigorchuk"),
+                   "l-grigorchuk(1,3)": preset("l-grigorchuk(1,3)"),
+                   **{f"battery-{j}": c
+                      for j, c in enumerate(make_battery()[:3])}}
+
+magnitude = st.sampled_from([1e-320, 1e-300, 1e-200, 1e-147, 1.0,
+                             1e147, 1e200, 1e300, 1e304])
+
+
+class TestDenseIdentity:
+    """The tridiagonal solver prints the same floats as the dense one."""
+
+    @pytest.mark.parametrize("qp", SECTION_MAPS)
+    @pytest.mark.parametrize("name", SECTION_CODINGS)
+    def test_presets_and_battery(self, name, qp):
+        c, (q, p) = SECTION_CODINGS[name], SECTION_MAPS[qp]
+        letters = range(len(c.alphabet))
+        coeff = CoefficientMap(c.alphabet, tuple(map(p, letters)),
+                               tuple(map(q, letters)))
+        for size in (2, 3, 17, 256, 1024):
+            assert_matches_dense(c, coeff, size)
+
+    @settings(max_examples=150, deadline=None)
+    @given(c=periodic_codings(), data=st.data(), size=st.integers(2, 64),
+           scale=magnitude)
+    def test_extreme_magnitudes_and_signed_zeros(self, c, data, size, scale):
+        scaled = st.floats(-4, 4).map(lambda v: v * scale)
+        q_value = st.one_of(st.just(-0.0), scaled)
+        p_value = scaled.filter(bool)
+        coeff = CoefficientMap(
+            c.alphabet,
+            tuple(data.draw(p_value) for _ in c.alphabet),
+            tuple(data.draw(q_value) for _ in c.alphabet))
+        assert_matches_dense(c, coeff, size)
 
 
 class TestCoefficientMap:
