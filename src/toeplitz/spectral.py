@@ -23,18 +23,22 @@ Finite sections are truncations to positions 0..N-1 of the one-sided
 representative word with zero boundary conditions: real symmetric
 tridiagonal matrices whose spectra approximate the operator spectrum.
 They stay as a diagonal and an off-diagonal; LAPACK's tridiagonal
-`dsterf`, reached through scipy (imported only there), takes their
-eigenvalues in O(N^2) time and O(N) memory, the same floats a dense
-solver gives.  Cantor structure or measure-zero claims are never
+`dsterf`, called through ctypes from the OpenBLAS bundled with numpy,
+takes their eigenvalues in O(N^2) time and O(N) memory, the same floats a
+dense solver gives.  A numpy without that library gets the dense
+`np.linalg.eigvalsh`.  Cantor structure or measure-zero claims are never
 asserted here; only cover-length trends are reported.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -215,24 +219,50 @@ _RMIN = math.sqrt(_TINY_OVER_EPS)
 _RMAX = math.sqrt(1.0 / _TINY_OVER_EPS)
 
 
+@functools.cache
+def _dsterf():
+    """LAPACK's `dsterf` from the OpenBLAS in numpy's wheel, or None.
+
+    numpy's wheels ship scipy-openblas64 as
+    `<site-packages>/numpy.libs/libscipy_openblas64_*.so`, which numpy has
+    already loaded; its symbols carry a `scipy_` prefix and a `64_` suffix,
+    and its integers are 64-bit.  A numpy built against another LAPACK has
+    no such file.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            dsterf = ctypes.CDLL(str(path)).scipy_dsterf_64_
+        except (OSError, AttributeError):
+            continue
+        array = np.ctypeslib.ndpointer(np.float64, ndim=1,
+                                       flags=("C_CONTIGUOUS", "WRITEABLE"))
+        integer = ctypes.POINTER(ctypes.c_int64)
+        dsterf.argtypes = [integer, array, array, integer]
+        dsterf.restype = None
+        return dsterf
+    return None
+
+
 def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
                             budget: int = DEFAULT_BUDGET) -> SpectrumApproximation:
     """Eigenvalues of the finite section, sorted ascending.
 
-    LAPACK's `dsterf` (root-free QL/QR) runs on the diagonal and
+    LAPACK's `dsterf` (root-free QL/QR), called through ctypes from the
+    OpenBLAS that numpy already loaded, runs on the diagonal and
     off-diagonal directly, in O(N^2) time and O(N) memory, and returns the
     same floats as the dense `np.linalg.eigvalsh`: its `dsyevd` leaves a
     tridiagonal matrix as it is and calls `dsterf` too, after two steps
     repeated here.  It scales the matrix by sigma when the largest entry
     lies outside [sqrt(tiny/eps), sqrt(eps/tiny)] and multiplies the
     eigenvalues by 1/sigma; and its dense sum turns a -0.0 diagonal entry
-    into 0.0, hence `+ 0.0`.  scipy's other drivers differ from it in the
-    last ulp on some inputs.
+    into 0.0, hence `+ 0.0`.  Where numpy carries no such library, the
+    dense `np.linalg.eigvalsh` of the assembled matrix runs instead.
 
     A size-N section still counts N * N entries against `budget`, as the
-    dense solver did, so `--budget` stops the same sizes.  scipy is
-    imported here, not at module level, to keep it off the start-up of
-    the Lyapunov scan and of every other command.
+    dense solver did, so `--budget` stops the same sizes.  Infinite or NaN
+    entries raise ValueError before either solver runs, and a `dsterf`
+    that does not converge raises `np.linalg.LinAlgError`.
     """
     if size >= 2 and size * size > budget:
         raise BudgetExceeded(
@@ -241,7 +271,12 @@ def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
         )
     diag, off = finite_section(c, coeff, size, budget)
     _warn_if_degenerate(coeff)
-    from scipy.linalg import eigvalsh_tridiagonal
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    dsterf = _dsterf()
+    if dsterf is None:
+        matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        return SpectrumApproximation(tuple(np.linalg.eigvalsh(matrix).tolist()))
 
     norm = max(np.abs(diag).max(), np.abs(off).max())
     sigma = 1.0
@@ -249,9 +284,14 @@ def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
         sigma = _RMIN / norm
     elif norm > _RMAX:
         sigma = _RMAX / norm
-    eigenvalues = eigvalsh_tridiagonal((diag + 0.0) * sigma, off * sigma,
-                                       lapack_driver="sterf") * (1.0 / sigma)
-    return SpectrumApproximation(tuple(eigenvalues.tolist()))
+    # new arrays: dsterf overwrites both, and leaves the eigenvalues in d
+    d, e = (diag + 0.0) * sigma, off * sigma
+    info = ctypes.c_int64()
+    dsterf(ctypes.byref(ctypes.c_int64(size)), d, e, ctypes.byref(info))
+    if info.value > 0:
+        raise np.linalg.LinAlgError(
+            f"dsterf did not converge (LAPACK info={info.value})")
+    return SpectrumApproximation(tuple((d * (1.0 / sigma)).tolist()))
 
 
 def spectral_bounds(coeff: CoefficientMap) -> tuple[float, float]:

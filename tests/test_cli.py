@@ -463,5 +463,5 @@ class TestImports:
             json.dumps(commands))
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stderr.splitlines()[-1])
-        assert seen == [[argv[0], 0, argv[0] == "spectrum", "--size" in argv]
+        assert seen == [[argv[0], 0, argv[0] == "spectrum", False]
                         for argv in commands]

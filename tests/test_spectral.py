@@ -5,13 +5,16 @@ import random
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import make_battery, periodic_codings
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from toeplitz import spectral
+from toeplitz.coding import Alphabet, Coding, CodingEntry, PeriodicTail, normalize
 from toeplitz.presets import preset
 from toeplitz.spectral import (
     RENORM_EVERY,
@@ -61,13 +64,19 @@ def exact_log_norm(m: TransferMatrix) -> float:
         return float(((f_dec + disc_dec.sqrt()) / 2).ln() / 2)
 
 
+def exact_of_floats(values) -> tuple[Fraction, ...]:
+    """The exact values of the floats the grid walk receives: 7/5 enters it
+    as float(7/5), not 7/5."""
+    return tuple(Fraction(float(v)) for v in values)
+
+
 def assert_grid_is_exact(c, coeff, energies, n):
     """Every grid value and sample is log sigma_max(M_k) / k of the exact
-    product: log sigma_max within 1e-12 relative, or within 1e-12 where it
-    is below 1 (there float rounding of the coefficients alone leaves
-    ~1e-14, and sigma_max itself still agrees within 1e-12 relative)."""
-    exact = CoefficientMap(c.alphabet, tuple(map(Fraction, coeff.p_values)),
-                           tuple(map(Fraction, coeff.q_values)))
+    product of the walk's float coefficients: log sigma_max within 1e-12
+    relative, or within 1e-12 where it is below 1 (sigma_max itself still
+    agrees within 1e-12 relative there)."""
+    exact = CoefficientMap(c.alphabet, exact_of_floats(coeff.p_values),
+                           exact_of_floats(coeff.q_values))
     steps = sorted({max(1, n // 4), max(1, n // 2), n})
     for est in lyapunov_over_grid(c, coeff, energies, n):
         assert [k for k, _ in est.samples] == steps
@@ -139,6 +148,10 @@ class TestCocycle:
                 assert abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b))
 
 
+small = st.fractions(-3, 3, max_denominator=8)
+nonzero = small.filter(bool)
+
+
 class TestLyapunov:
     def test_free_energy_zero_vanishes(self, grig, free_coeff):
         est = one_energy_estimate(grig, free_coeff, 0.0, 2048)
@@ -183,15 +196,20 @@ class TestLyapunov:
         assert_grid_is_exact(c, coeff, energy_grid(lo - 1.0, hi + 1.0, 19), n)
 
     @settings(max_examples=40, deadline=None)
-    @given(c=periodic_codings(), data=st.data(), n=st.integers(1, 96))
-    def test_grid_equals_exact_cocycle_on_periodic_codings(self, c, data, n):
-        small = st.fractions(-3, 3, max_denominator=8)
-        nonzero = small.filter(bool)
-        coeff = CoefficientMap(
-            c.alphabet,
-            tuple(data.draw(nonzero) for _ in c.alphabet),
-            tuple(data.draw(small) for _ in c.alphabet))
-        energies = [float(data.draw(small)) for _ in range(3)]
+    @given(c=periodic_codings(), p=st.lists(nonzero, min_size=4, max_size=4),
+           q=st.lists(small, min_size=4, max_size=4),
+           energies=st.lists(small.map(float), min_size=3, max_size=3),
+           n=st.integers(1, 96))
+    # against the exact 7/5 rather than float(7/5), the error was 1.37e-12
+    @example(c=normalize(Coding(Alphabet.from_names("abcd"), (), PeriodicTail(
+                 (CodingEntry(2, 3), CodingEntry(3, 3))))),
+             p=[1, 1, Fraction(7, 5), 2], q=[0, 0, 3, Fraction(-7, 8)],
+             energies=[0.0, 0.0, -2.0], n=36)
+    def test_grid_equals_exact_cocycle_on_periodic_codings(self, c, p, q,
+                                                           energies, n):
+        letters = len(c.alphabet)
+        coeff = CoefficientMap(c.alphabet, tuple(p[:letters]),
+                               tuple(q[:letters]))
         assert_grid_is_exact(c, coeff, energies, n)
 
     def test_grid_energies_are_independent(self, grig, grig_coeff):
@@ -288,18 +306,57 @@ magnitude = st.sampled_from([1e-320, 1e-300, 1e-200, 1e-147, 1.0,
                              1e147, 1e200, 1e300, 1e304])
 
 
+def assert_section_maps_match_dense(name, qp):
+    c, (q, p) = SECTION_CODINGS[name], SECTION_MAPS[qp]
+    letters = range(len(c.alphabet))
+    coeff = CoefficientMap(c.alphabet, tuple(map(p, letters)),
+                           tuple(map(q, letters)))
+    for size in (2, 3, 17, 256, 1024):
+        assert_matches_dense(c, coeff, size)
+
+
 class TestDenseIdentity:
-    """The tridiagonal solver prints the same floats as the dense one."""
+    """The tridiagonal solver prints the same floats as the dense one, and
+    so does the dense fallback that runs where numpy bundles no `dsterf`."""
 
     @pytest.mark.parametrize("qp", SECTION_MAPS)
     @pytest.mark.parametrize("name", SECTION_CODINGS)
     def test_presets_and_battery(self, name, qp):
-        c, (q, p) = SECTION_CODINGS[name], SECTION_MAPS[qp]
-        letters = range(len(c.alphabet))
-        coeff = CoefficientMap(c.alphabet, tuple(map(p, letters)),
-                               tuple(map(q, letters)))
-        for size in (2, 3, 17, 256, 1024):
-            assert_matches_dense(c, coeff, size)
+        assert_section_maps_match_dense(name, qp)
+
+    @pytest.mark.parametrize("qp", SECTION_MAPS)
+    @pytest.mark.parametrize("name", SECTION_CODINGS)
+    def test_presets_and_battery_without_bundled_lapack(self, monkeypatch,
+                                                        name, qp):
+        monkeypatch.setattr(spectral, "_dsterf", lambda: None)
+        assert_section_maps_match_dense(name, qp)
+
+    def test_bundled_lapack_is_found_where_numpy_ships_it(self):
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        shipped = any(libs.glob("libscipy_openblas64_*.so"))
+        assert (spectral._dsterf() is not None) == shipped
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["q", "p"])
+    @pytest.mark.parametrize("solver", ["dsterf", "dense"])
+    def test_non_finite_entries_raise(self, monkeypatch, grig, solver, field,
+                                      bad):
+        if solver == "dense":
+            monkeypatch.setattr(spectral, "_dsterf", lambda: None)
+        values = {"q": [0.0, 1.0, 2.0, 3.0], "p": [1.0] * 4}
+        values[field][1] = bad
+        coeff = CoefficientMap(grig.alphabet, tuple(values["p"]),
+                               tuple(values["q"]))
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            finite_section_spectrum(grig, coeff, 16)
+
+    def test_unconverged_dsterf_raises(self, monkeypatch, grig, grig_coeff):
+        def unconverged(n, d, e, info):
+            info._obj.value = 1
+
+        monkeypatch.setattr(spectral, "_dsterf", lambda: unconverged)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            finite_section_spectrum(grig, grig_coeff, 8)
 
     @settings(max_examples=150, deadline=None)
     @given(c=periodic_codings(), data=st.data(), size=st.integers(2, 64),
