@@ -101,7 +101,7 @@ def estimate_eta(c: Coding, length: int, prefix_length: int,
     """
     if length == 0:
         return EtaEstimate(0, Fraction(1), prefix_length)
-    needed = 10 * (level(c, length).p + 1)
+    needed = 10 * (level(c, length - 1).p + 1)
     if prefix_length < needed:
         raise PrefixTooShort(
             f"need a prefix of at least {needed} symbols for L={length}, "

@@ -67,14 +67,14 @@ def complexity_formula(c: Coding, length: int) -> int:
     """Exact factor count p(length) by the closed formulas."""
     if length < 0:
         raise IndexError("length must be >= 0")
-    return band_complexity(level(c, length, 0), length)
+    return band_complexity(level(c, length), length)
 
 
 def growth_formula(c: Coding, length: int) -> int:
     """R(length) = p(length + 1) - p(length), piecewise constant per band."""
     if length < 0:
         raise IndexError("length must be >= 0")
-    return band_growth(level(c, length, 0), length)
+    return band_growth(level(c, length), length)
 
 
 def checkpoint_complexity(c: Coding, k: int) -> int:

@@ -55,7 +55,7 @@ class DeBruijnGraph:
 
 
 def _annotations(c: Coding, length: int, budget: int) -> GraphAnnotations:
-    lv = level(c, length, 0)
+    lv = level(c, length)
     p = block(c, lv.k, budget)
     u1, v1 = p[:length], p[-length:]
     u2 = v2 = None
@@ -146,7 +146,7 @@ def palindrome_formula(c: Coding, length: int) -> int:
     """Closed-form palindrome count among the length-`length` factors."""
     if length < 1:
         raise IndexError("palindrome counts start at length 1")
-    return band_palindromes(level(c, length, 0), length)
+    return band_palindromes(level(c, length), length)
 
 
 def palindrome_oracle(c: Coding, length: int,

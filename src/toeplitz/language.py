@@ -33,7 +33,7 @@ def enclosing_words(c: Coding, length: int,
 
     p(k) is built once and shared by every host.
     """
-    k = level(c, length).k
+    k = level(c, length - 1).k
     p = block(c, k, budget)
     return [p + bytes([a]) + p for a in sorted(tail_alphabet(c, k + 1))]
 
@@ -51,21 +51,17 @@ def language(c: Coding, length: int,
     most = budget // length
     factors: set[bytes] = set()
     for w in enclosing_words(c, length, budget):
-        start, stop = 0, len(w) - length + 1
-        while start < stop:
-            # a window adds at most one word: this chunk ends one past the cap
-            end = min(stop, start + most - len(factors) + 1)
-            factors |= {w[i:i + length] for i in range(start, end)}
+        for i in range(len(w) - length + 1):
+            factors.add(w[i:i + length])
             if len(factors) > most:
                 raise BudgetExceeded(f"the length-{length} factor set exceeds "
                                      f"the budget of {budget} symbols")
-            start = end
     return tuple(sorted(factors))
 
 
 def _host_symbols(c: Coding, length: int) -> int:
     """Total length of `enclosing_words(c, length)`, without building them."""
-    lv = level(c, length)
+    lv = level(c, length - 1)
     return lv.size_next * (2 * lv.p + 1)
 
 

@@ -116,7 +116,7 @@ def repetitivity_oracle(c: Coding, length: int,
         factors = len(set().union(*(last for last, _ in slides)))
         need = 1 + max(miss if len(last) == factors else len(host)
                        for host, (last, miss) in zip(hosts, slides))
-        if need <= level(c, window).p + 1:
+        if need <= level(c, window - 1).p + 1:
             return need
         window = need
 

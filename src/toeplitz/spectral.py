@@ -170,7 +170,6 @@ def transfer_cocycle(c: Coding, coeff: CoefficientMap, E: Number, n: int,
 @dataclass(frozen=True)
 class LyapunovEstimate:
     energy: float
-    steps: int
     value: float
     samples: tuple[tuple[int, float], ...]  # (n, estimate) at n/4, n/2, n
 
@@ -314,12 +313,12 @@ def lyapunov_over_grid(c: Coding, coeff: CoefficientMap,
 
     The running products' four entries are numpy arrays indexed by energy,
     rescaled by their largest entry every RENORM_EVERY steps with the log
-    kept apart, so n ~ 2^16 stays inside float range.  Every operation is
-    elementwise, so an energy's result does not depend on the rest of the
-    grid.  The pinned `E,lyapunov` CSV bytes fix the float operations: each
-    step repeats `TransferMatrix.__matmul__` in order (`1.0 * a + 0.0 * c`
-    too), the scale is Python's `max` of the `abs` values and its log is
-    `math.log`, since np.log may differ from libm in the last ulp.
+    (`math.log`, as np.log may differ from libm in the last ulp) kept apart,
+    so n ~ 2^16 stays inside float range.  Every step matrix has bottom row
+    (1, 0), so a step computes the new top row and shifts the old one down.
+    Every operation is elementwise, so an energy's result does not depend
+    on the rest of the grid.  A value that is not finite, because an entry
+    or a checkpoint norm overflowed a float, raises OverflowError.
     """
     if n < 1:
         raise IndexError("lyapunov estimates need n >= 1")
@@ -338,18 +337,13 @@ def lyapunov_over_grid(c: Coding, coeff: CoefficientMap,
     mc, md = np.zeros_like(e_array), np.ones_like(e_array)
     log_scale = [0.0] * len(grid)
     samples: list[list[tuple[int, float]]] = [[] for _ in grid]
-    # Python floats overflow to inf and nan silently; so do these arrays
+    # overflow shows up as a value that is not finite, checked at the end
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
             sa, sb = steps[word[k + 1], word[k + 2]]
-            ma, mb, mc, md = (sa * ma + sb * mc, sa * mb + sb * md,
-                              1.0 * ma + 0.0 * mc, 1.0 * mb + 0.0 * md)
+            ma, mb, mc, md = sa * ma + sb * mc, sa * mb + sb * md, ma, mb
             if (k + 1) % RENORM_EVERY == 0:
-                # as max(): an entry replaces the scale only if it is greater
-                scale = np.abs(ma)
-                for entry in (mb, mc, md):
-                    magnitude = np.abs(entry)
-                    scale = np.where(magnitude > scale, magnitude, scale)
+                scale = np.max(np.abs([ma, mb, mc, md]), axis=0)
                 positive = scale > 0
                 for entry in (ma, mb, mc, md):
                     np.divide(entry, scale, out=entry, where=positive)
@@ -362,5 +356,6 @@ def lyapunov_over_grid(c: Coding, coeff: CoefficientMap,
                     norm = TransferMatrix(*entries).operator_norm()
                     log_norm = math.log(max(norm, 1e-300))
                     samples[i].append((k + 1, (log_scale[i] + log_norm) / (k + 1)))
-    return [LyapunovEstimate(E, n, s[-1][1], tuple(s))
-            for E, s in zip(grid, samples)]
+    if not all(math.isfinite(s[-1][1]) for s in samples):
+        raise OverflowError("the cocycle overflows a float")
+    return [LyapunovEstimate(E, s[-1][1], tuple(s)) for E, s in zip(grid, samples)]

@@ -25,7 +25,7 @@ DEFAULT_BUDGET = 1 << 24
 
 
 def block(c: Coding, k: int, budget: int = DEFAULT_BUDGET) -> bytes:
-    """The block p(k); |p(k)| + 1 = n_0 * ... * n_k."""
+    """The block p(k): the limit word's first |p(k)| = n_0 * ... * n_k - 1 symbols."""
     if k < 0:
         raise IndexError("block level must be >= 0")
     length = scaled_length(c, k) - 1
@@ -33,10 +33,7 @@ def block(c: Coding, k: int, budget: int = DEFAULT_BUDGET) -> bytes:
         raise BudgetExceeded(
             f"|p({k})| = {length} exceeds the budget of {budget} symbols"
         )
-    out = bytes([c.letter(0)]) * (c.period(0) - 1)
-    for j in range(1, k + 1):
-        out = (out + bytes([c.letter(j)])) * (c.period(j) - 1) + out
-    return out
+    return word_prefix(c, length, budget)
 
 
 def block_length(c: Coding, k: int) -> int:
@@ -74,14 +71,14 @@ def level_at(c: Coding, k: int) -> Level:
                  c.letter(k) in nxt)
 
 
-def level(c: Coding, length: int, slack: int = 1) -> Level:
-    """The record of the least k with |p(k)| + slack >= length.
+def level(c: Coding, length: int) -> Level:
+    """The record of the least k with |p(k)| >= length.
 
     Stepping exact block lengths hits band boundaries exactly; logarithms
-    would risk picking the wrong level at L = |p(k)| + slack.
+    would risk picking the wrong level at L = |p(k)|.
     """
     k, scaled = 0, c.period(0)
-    while scaled - 1 + slack < length:
+    while scaled - 1 < length:
         k += 1
         scaled *= c.period(k)
     return level_at(c, k)

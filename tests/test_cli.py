@@ -251,7 +251,17 @@ class TestExitCodes:
         (("spectrum", "--preset", "grigorchuk", "--energies", "1e12:1e12:1",
           "--lyapunov", "100"),
          "--energies:"),
-    ], ids=["alpha-zero-denominator", "cocycle-overflow"])
+        (("spectrum", "--preset", "grigorchuk", "--energies", "1e15:1e15:1",
+          "--lyapunov", "100"),
+         "--energies:"),
+        (("spectrum", "--preset", "grigorchuk", "--energies", "0:1:2",
+          "--lyapunov", "100", "--p", "x=1e-300,a=1e300"),
+         "--energies:"),
+        (("spectrum", "--preset", "grigorchuk", "--q", "a=0,x=1,y=2,z=3",
+          "--energies=-1e4:1e4:11", "--lyapunov", "20"),
+         "--energies:"),
+    ], ids=["alpha-zero-denominator", "cocycle-overflow", "cocycle-nan",
+            "coefficient-overflow", "cocycle-inf"])
     def test_arithmetic_errors_are_usage_errors(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and flag in err

@@ -67,7 +67,7 @@ class TestLanguage:
         # p(kappa(k)) already contains every factor of length <= |p(k)| + 1
         for c in list(battery[:10]) + [grig]:
             for length in (2, 5, 9):
-                k = level(c, length).k
+                k = level(c, length - 1).k
                 prefix = block(c, kappa(c, k))
                 assert set(language(c, length)) == \
                     prefix_factor_set(length, prefix)

@@ -225,6 +225,14 @@ class TestLyapunov:
         with pytest.raises(IndexError):
             lyapunov_over_grid(grig, grig_coeff, [0.0], 0)
 
+    @pytest.mark.parametrize("E, n", [(1e15, 100), (1e4, 20)],
+                             ids=["nan", "inf"])
+    def test_non_finite_estimates_raise(self, grig, grig_coeff, E, n):
+        # entries overflow between rescalings: the finite energy in the same
+        # grid does not rescue the scan
+        with pytest.raises(OverflowError):
+            lyapunov_over_grid(grig, grig_coeff, [0.5, E], n)
+
 
 class TestFiniteSections:
     def test_two_site_free_section(self, grig, free_coeff):

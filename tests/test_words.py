@@ -71,8 +71,12 @@ class TestWordPrefix:
         assert render(grig, w) == "axayaxazaxayaxax"
 
     def test_prefix_of_block(self, battery):
+        # p(3) built directly: p(0) = a_0^(n_0-1), p(j) = (p(j-1) a_j)^(n_j-1) p(j-1)
         for c in battery[:16]:
-            p3 = block(c, 3)
+            p3 = bytes([c.letter(0)]) * (c.period(0) - 1)
+            for j in range(1, 4):
+                p3 = (p3 + bytes([c.letter(j)])) * (c.period(j) - 1) + p3
+            assert block(c, 3) == p3
             for length in (1, 2, len(p3) // 2, len(p3)):
                 assert word_prefix(c, length) == p3[:length]
 
@@ -136,12 +140,10 @@ class TestLevel:
         # merged entries can make |p(4)| huge: every length up to 2000, and
         # beyond that the lengths around each band edge
         edges = {block_length(c, k) + d for k in range(5) for d in (0, 1, 2)}
-        for slack in (0, 1):
-            for length in set(range(min(block_length(c, 4), 2000) + 3)) | edges:
-                k = level(c, length, slack).k
-                assert block_length(c, k) + slack >= length
-                assert k == 0 or block_length(c, k - 1) + slack < length
-        assert level(c, 5) == level(c, 5, 1)
+        for length in set(range(min(block_length(c, 4), 2000) + 3)) | edges:
+            k = level(c, length).k
+            assert block_length(c, k) >= length
+            assert k == 0 or block_length(c, k - 1) < length
 
     def test_negative_level_rejected(self, grig):
         with pytest.raises(IndexError):
