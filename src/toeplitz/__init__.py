@@ -5,47 +5,42 @@ their subword complexity, palindrome complexity, de Bruijn graphs,
 repetitivity, and Boshernitzan verdicts both by closed formulas and by
 brute-force oracles, plus transfer-matrix cocycles and finite-section
 spectra of the associated Jacobi operators.
+
+The public names below load their submodule on first access (PEP 562), so
+importing the package, or running one CLI subcommand, compiles only the
+modules that are used.
 """
 
-from .coding import (
-    Alphabet,
-    Coding,
-    CodingEntry,
-    GeneratorTail,
-    PeriodicTail,
-    eventual_alphabet,
-    kappa,
-    m_sequence,
-    normalize,
-    stabilization_index,
-    tail_alphabet,
-)
-from .errors import (
-    AllLettersEqual,
-    BudgetExceeded,
-    EmptyCoding,
-    HorizonExceeded,
-    InvalidShift,
-    OutOfTheoremRange,
-    PrefixTooShort,
-    ToeplitzError,
-    WordNotInLanguage,
-)
-from .language import right_extensions
-from .presets import grigorchuk, l_grigorchuk, liuqu, parse_coding_spec, preset
-from .verdicts import Status, Verdict
-from .words import UndeterminedPart, block, block_length, undetermined_part, word_prefix
+import importlib
+
+_EXPORTS = {
+    "coding": (
+        "Alphabet", "Coding", "CodingEntry", "GeneratorTail", "PeriodicTail",
+        "eventual_alphabet", "kappa", "m_sequence", "normalize",
+        "stabilization_index", "tail_alphabet",
+    ),
+    "errors": (
+        "AllLettersEqual", "BudgetExceeded", "EmptyCoding", "HorizonExceeded",
+        "InvalidShift", "OutOfTheoremRange", "PrefixTooShort", "ToeplitzError",
+        "WordNotInLanguage",
+    ),
+    "language": ("right_extensions",),
+    "presets": ("grigorchuk", "l_grigorchuk", "liuqu", "parse_coding_spec",
+                "preset"),
+    "verdicts": ("Status", "Verdict"),
+    "words": ("UndeterminedPart", "block", "block_length", "undetermined_part",
+              "word_prefix"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alphabet", "Coding", "CodingEntry", "GeneratorTail", "PeriodicTail",
-    "eventual_alphabet", "kappa", "m_sequence", "normalize",
-    "stabilization_index", "tail_alphabet",
-    "AllLettersEqual", "BudgetExceeded", "EmptyCoding", "HorizonExceeded",
-    "InvalidShift", "OutOfTheoremRange", "PrefixTooShort", "ToeplitzError",
-    "WordNotInLanguage", "right_extensions",
-    "grigorchuk", "l_grigorchuk", "liuqu", "parse_coding_spec", "preset",
-    "Status", "Verdict", "UndeterminedPart", "block", "block_length",
-    "undetermined_part", "word_prefix",
-]
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -4,31 +4,28 @@ Exit codes: 0 success, 1 formula/oracle mismatch, 2 usage error,
 3 budget or horizon exhaustion.  All outputs are deterministic: words are
 sorted, JSON keys are sorted and floats use repr.  Every scan runs serially;
 the worker-count flag is accepted for compatibility and has no effect.
-Only `spectrum` imports `toeplitz.spectral`, and with it numpy.
+Each handler imports the modules it runs, so a subcommand loads only its own
+layers: `presets` loads `cli`, `errors`, `presets` and `coding`, and only
+`spectrum` imports `toeplitz.spectral`, and with it numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import warnings
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import boshernitzan, complexity, debruijn, repetitivity
 from .coding import Coding
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     HorizonExceeded,
     PrefixTooShort,
     ToeplitzError,
 )
-from .language import language
 from .presets import PRESET_NAMES, parse_coding_spec, preset
-from .verdicts import Verdict
-from .words import DEFAULT_BUDGET, word_prefix
 
 CHECK_MISMATCH = 1
 USAGE_ERROR = 2
@@ -91,16 +88,22 @@ def _write(path: Optional[str], text: str) -> None:
 
 
 def _emit_json(payload, path: Optional[str]) -> None:
+    import json
+
     _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _cmd_gen(c: Coding, args) -> int:
+    from .words import word_prefix
+
     prefix = word_prefix(c, args.length, args.budget)
     _write(args.out, c.alphabet.render(prefix) + "\n")
     return 0
 
 
 def _cmd_language(c: Coding, args) -> int:
+    from .language import language
+
     lang = language(c, args.length, args.budget)
     rendered = [c.alphabet.render(w) for w in lang]
     if args.json:
@@ -131,6 +134,8 @@ def _formula_vs_oracle(args, header: str, rows, line) -> int:
 
 
 def _cmd_complexity(c: Coding, args) -> int:
+    from . import complexity
+
     rows = complexity.profile(c, args.max_len, args.check, args.budget)
     return _formula_vs_oracle(
         args, "L,formula,oracle,growth", rows,
@@ -138,13 +143,18 @@ def _cmd_complexity(c: Coding, args) -> int:
 
 
 def _cmd_palindrome(c: Coding, args) -> int:
+    from . import debruijn
+
     rows = debruijn.palindrome_profile(c, args.max_len, args.check, args.budget)
     return _formula_vs_oracle(
         args, "L,formula,oracle", rows,
         lambda r: f"{r.length},{r.formula},{_csv_cell(r.oracle)}")
 
 
-def _graph_payload(graph: debruijn.DeBruijnGraph) -> dict:
+def _graph_payload(graph) -> dict:
+    """A `debruijn.DeBruijnGraph` as JSON-ready data."""
+    from .debruijn import right_special_report
+
     render = graph.alphabet.render
     ann = graph.annotations
     return {
@@ -159,13 +169,15 @@ def _graph_payload(graph: debruijn.DeBruijnGraph) -> dict:
             "v2": None if ann.v2 is None else render(ann.v2),
             "right_special": [
                 {"vertex": render(rs.vertex), "out_degree": rs.out_degree}
-                for rs in debruijn.right_special_report(graph)
+                for rs in right_special_report(graph)
             ],
         },
     }
 
 
 def _cmd_debruijn(c: Coding, args) -> int:
+    from . import debruijn
+
     graph = debruijn.build_graph(c, args.length, args.budget)
     if args.dot:
         _write(args.dot, debruijn.to_dot(graph))
@@ -176,7 +188,8 @@ def _cmd_debruijn(c: Coding, args) -> int:
     return 0
 
 
-def _verdict_payload(v: Verdict) -> dict:
+def _verdict_payload(v) -> dict:
+    """A `verdicts.Verdict` as JSON-ready data."""
     return {
         "verdict": v.status.value,
         "kind": v.kind,
@@ -187,9 +200,13 @@ def _verdict_payload(v: Verdict) -> dict:
 
 
 def _cmd_repetitivity(c: Coding, args) -> int:
+    from . import repetitivity
+
     if not args.max_len and args.alpha is None:
         raise ValueError("--max-len: required unless --alpha is given")
     if args.alpha is not None:
+        from fractions import Fraction
+
         try:
             alpha = Fraction(args.alpha)
         except (ValueError, ZeroDivisionError):
@@ -216,6 +233,8 @@ def _cmd_repetitivity(c: Coding, args) -> int:
 
 
 def _cmd_bosh(c: Coding, args) -> int:
+    from . import boshernitzan
+
     for flag, value in (("--eta", args.eta), ("--prefix", args.prefix)):
         if value is not None and value < 0:
             raise ValueError(f"{flag}: must be >= 0")
@@ -294,8 +313,9 @@ def _cmd_spectrum(c: Coding, args) -> int:
             estimates = spectral.lyapunov_over_grid(c, coeff, grid, n, args.budget)
         except OverflowError:
             raise ValueError(
-                "--energies: the cocycle overflows a float at these energies; "
-                "use smaller energies"
+                "--energies: the cocycle overflows a float at these energies "
+                "and --p/--q coefficients; use smaller energies or other "
+                "--p/--q values"
             ) from None
         _write_csv(args.csv, "E,lyapunov",
                    [f"{repr(e.energy)},{repr(e.value)}" for e in estimates])

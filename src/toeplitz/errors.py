@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all toeplitz modules."""
+"""Exception hierarchy shared by all toeplitz modules, and the default
+symbol budget whose excess raises `BudgetExceeded`."""
+
+DEFAULT_BUDGET = 1 << 24
 
 
 class ToeplitzError(Exception):

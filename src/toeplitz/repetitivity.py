@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .coding import (
     Coding,
@@ -43,37 +43,40 @@ from .verdicts import Status, Verdict, trend_of
 from .words import DEFAULT_BUDGET, block_length, level
 
 
-def _band(c: Coding, length: int) -> tuple[int, int, int]:
-    """|p(m_i)|, |p(m_i - 1)| and |p(kappa(m_i) - 1)| for the band of `length`.
+def _bands(c: Coding) -> Iterator[tuple[int, int, int, int]]:
+    """(start, |p(m_i)|, |p(m_i - 1)|, |p(kappa(m_i) - 1)|) for i = 1, 2, ...
 
-    The band of m_i, i >= 1, runs from |p(m_i)| - |p(m_i - 1)| + 1 up to the
+    The band of m_i runs from start = |p(m_i)| - |p(m_i - 1)| + 1 up to the
     start of the next one.
     """
-    band = None
     for m, top, _ in jumps(c):
-        start = block_length(c, m) - block_length(c, m - 1) + 1
-        if start > length:
-            break
-        band = m, top
-    if band is None:
-        raise OutOfTheoremRange(
-            f"formula valid only for L >= {start}, got {length}")
-    m, top = band
-    return block_length(c, m), block_length(c, m - 1), block_length(c, top - 1)
+        p, p1 = block_length(c, m), block_length(c, m - 1)
+        yield p - p1 + 1, p, p1, block_length(c, top - 1)
+
+
+def _band_value(band: tuple[int, int, int, int], length: int) -> int:
+    _, p, p1, top = band
+    return 2 * top + 1 + length - (p - p1 if length <= p + 1 else 0)
 
 
 def repetitivity_formula(c: Coding, length: int) -> int:
     """Closed-form R(length) within the theorem's validity range."""
     if length < 1:
         raise IndexError("repetitivity lengths start at 1")
-    p, p1, top = _band(c, length)
-    return 2 * top + 1 + length - (p - p1 if length <= p + 1 else 0)
+    band = None
+    for ahead in _bands(c):
+        if ahead[0] > length:
+            break
+        band = ahead
+    if band is None:
+        raise OutOfTheoremRange(
+            f"formula valid only for L >= {ahead[0]}, got {length}")
+    return _band_value(band, length)
 
 
 def formula_valid_from(c: Coding) -> int:
     """First length covered by the closed formula."""
-    m = next(jumps(c))[0]
-    return block_length(c, m) - block_length(c, m - 1) + 1
+    return next(_bands(c))[0]
 
 
 def _slide(host: bytes, length: int) -> tuple[dict[bytes, int], int]:
@@ -181,13 +184,18 @@ class RepetitivityRow:
 
 def report(c: Coding, max_length: int,
            budget: int = DEFAULT_BUDGET) -> list[RepetitivityRow]:
-    """Per-L table of formula (where defined) and oracle values."""
-    rows = []
+    """Per-L table of formula (where defined) and oracle values.
+
+    One walk over the bands serves every length, as `complexity.profile`
+    walks the levels; band starts strictly increase, so each length
+    moves at most one band on.
+    """
+    rows, bands = [], _bands(c)
+    band, ahead = None, next(bands)
     for length in range(1, max_length + 1):
-        try:
-            formula: Optional[int] = repetitivity_formula(c, length)
-        except OutOfTheoremRange:
-            formula = None
+        if ahead[0] <= length:
+            band, ahead = ahead, next(bands)
+        formula = None if band is None else _band_value(band, length)
         rows.append(RepetitivityRow(length, formula,
                                     repetitivity_oracle(c, length, budget)))
     return rows

@@ -19,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coding import Coding, scaled_length, tail_alphabet
-from .errors import BudgetExceeded, InvalidShift
-
-DEFAULT_BUDGET = 1 << 24
+from .errors import DEFAULT_BUDGET, BudgetExceeded, InvalidShift
 
 
 def block(c: Coding, k: int, budget: int = DEFAULT_BUDGET) -> bytes:

@@ -125,10 +125,10 @@ class TestExitCodes:
     def test_repetitivity_mismatch_is_one(self, capsys, monkeypatch):
         import toeplitz.repetitivity as rep
 
-        real = rep.repetitivity_formula
+        real = rep._band_value  # what `report` reads for the formula column
         monkeypatch.setattr(
-            rep, "repetitivity_formula",
-            lambda c, L: real(c, L) + (1 if L == 4 else 0),
+            rep, "_band_value",
+            lambda band, L: real(band, L) + (1 if L == 4 else 0),
         )
         code, out, err = run(capsys, "repetitivity", "--preset", "grigorchuk",
                              "--max-len", "4", "--alpha", "1")
@@ -256,7 +256,7 @@ class TestExitCodes:
          "--energies:"),
         (("spectrum", "--preset", "grigorchuk", "--energies", "0:1:2",
           "--lyapunov", "100", "--p", "x=1e-300,a=1e300"),
-         "--energies:"),
+         "--p/--q"),  # no smaller energy helps, so the advice names them
         (("spectrum", "--preset", "grigorchuk", "--q", "a=0,x=1,y=2,z=3",
           "--energies=-1e4:1e4:11", "--lyapunov", "20"),
          "--energies:"),
@@ -438,6 +438,30 @@ def test_stdout_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# each command and the modules it may load: the package, `toeplitz.*` and numpy
+IMPORTS = {
+    "presets": (["presets"], ""),
+    "gen": (["gen", "--preset", "grigorchuk", "--length", "16"], "words"),
+    "language": (["language", "--preset", "grigorchuk", "-L", "3"],
+                 "words language"),
+    "complexity": (["complexity", "--preset", "grigorchuk", "--max-len", "8",
+                    "--check"], "words language complexity"),
+    "palindrome": (["palindrome", "--preset", "grigorchuk", "--max-len", "8",
+                    "--check"], "words language debruijn"),
+    "debruijn": (["debruijn", "--preset", "grigorchuk", "-L", "3"],
+                 "words language debruijn"),
+    "repetitivity": (["repetitivity", "--preset", "grigorchuk", "--alpha", "1"],
+                     "words language verdicts repetitivity"),
+    "bosh": (["bosh", "--preset", "grigorchuk", "--eta", "2", "--prefix", "64"],
+             "words language verdicts boshernitzan"),
+    "spectrum-lyapunov": (["spectrum", "--preset", "grigorchuk",
+                           "--energies=-3:6:5", "--lyapunov", "64"],
+                          "words spectral numpy"),
+    "spectrum-size": (["spectrum", "--preset", "grigorchuk", "--size", "4"],
+                      "words spectral numpy"),
+}
+
+
 class TestImports:
     def test_package_exports_resolve(self):
         import toeplitz
@@ -446,21 +470,11 @@ class TestImports:
         namespace: dict = {}
         exec("from toeplitz import *", namespace)
         assert set(toeplitz.__all__) <= namespace.keys()
+        assert toeplitz.Coding is toeplitz.coding.Coding
+        assert toeplitz.right_extensions is toeplitz.language.right_extensions
 
     def test_only_spectrum_imports_numpy(self):
-        commands = [
-            ["presets"],
-            ["gen", "--preset", "grigorchuk", "--length", "16"],
-            ["language", "--preset", "grigorchuk", "-L", "3"],
-            ["complexity", "--preset", "grigorchuk", "--max-len", "8", "--check"],
-            ["palindrome", "--preset", "grigorchuk", "--max-len", "8", "--check"],
-            ["debruijn", "--preset", "grigorchuk", "-L", "3"],
-            ["repetitivity", "--preset", "grigorchuk", "--alpha", "1"],
-            ["bosh", "--preset", "grigorchuk", "--eta", "2", "--prefix", "64"],
-            ["spectrum", "--preset", "grigorchuk", "--energies=-3:6:5",
-             "--lyapunov", "64"],
-            ["spectrum", "--preset", "grigorchuk", "--size", "4"],
-        ]
+        commands = [argv for argv, _ in IMPORTS.values()]
         proc = run_fresh(
             "import json, sys\n"
             "from toeplitz.cli import main\n"
@@ -475,3 +489,22 @@ class TestImports:
         seen = json.loads(proc.stderr.splitlines()[-1])
         assert seen == [[argv[0], 0, argv[0] == "spectrum", False]
                         for argv in commands]
+
+    @pytest.mark.parametrize("label", IMPORTS)
+    def test_each_command_loads_only_its_modules(self, label):
+        argv, own = IMPORTS[label]
+        proc = run_fresh(
+            "import json, runpy, sys\n"
+            "sys.argv[0] = 'toeplitz'\n"
+            "try:\n"
+            "    runpy.run_module('toeplitz', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m == 'numpy'\n"
+            "    or m.split('.')[0] == 'toeplitz')]), file=sys.stderr)\n",
+            *argv)
+        code, loaded = json.loads(proc.stderr.splitlines()[-1])
+        assert code == 0, proc.stderr
+        base = ["toeplitz", "cli", "errors", "presets", "coding"]
+        assert loaded == sorted(m if m in ("toeplitz", "numpy") else f"toeplitz.{m}"
+                                for m in [*base, *own.split()])

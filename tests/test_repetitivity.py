@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from toeplitz.coding import kappa, m_sequence
 from toeplitz.errors import OutOfTheoremRange
 from toeplitz.language import language, prefix_factor_set
+from toeplitz import repetitivity
 from toeplitz.presets import grigorchuk, l_grigorchuk
 from toeplitz.repetitivity import (
     _slide,
@@ -212,3 +213,20 @@ def test_report_stitches_oracle_below_threshold(grig):
     assert [r.oracle for r in rows[:2]] == [16, 17]
     for r in rows[2:]:
         assert r.formula == r.oracle
+
+
+@pytest.mark.parametrize("c", [grigorchuk(), l_grigorchuk(1, 3)],
+                         ids=["grigorchuk", "l-grigorchuk(1,3)"])
+def test_report_formula_column_walks_the_bands(monkeypatch, c):
+    # the oracle is stubbed out: this pins the one band walk of `report`
+    # against the per-length search of `repetitivity_formula`
+    monkeypatch.setattr(repetitivity, "repetitivity_oracle", lambda *_: 0)
+    want = []
+    for length in range(1, 1025):
+        try:
+            want.append(repetitivity_formula(c, length))
+        except OutOfTheoremRange:
+            want.append(None)
+    assert [r.formula for r in report(c, 1024)] == want
+    start = formula_valid_from(c)
+    assert want[:start - 1] == [None] * (start - 1) and None not in want[start - 1:]
