@@ -113,7 +113,7 @@ def estimate_eta(c: Coding, length: int, prefix_length: int,
     worst = min(language(c, length, budget), key=totals.__getitem__)
     if totals[worst] == 0:
         raise PrefixTooShort(
-            f"factor {worst!r} never occurs in the first "
+            f"factor {c.alphabet.render(worst)} never occurs in the first "
             f"{prefix_length} symbols; increase the prefix length"
         )
     return EtaEstimate(length, Fraction(totals[worst], windows),

@@ -4,9 +4,11 @@ Writing q(k) = |p(k)| + 1 = n_0 ... n_k and A_k for the tail alphabets, the
 factor count p(L) is piecewise affine in L.  Each band |p(k-1)| + 1 <= L <=
 |p(k)| (|p(-1)| = 0) reads one `words.Level` record, the same partition the
 palindrome formula and the de Bruijn annotations use; p(0) = 1 counts the
-empty word.  Inside a band the formula dispatches on n_k = 2 versus n_k > 2,
-with correction terms driven by the indicators a_{k-1} in A_k and a_k in
-A_{k+1}.  At the checkpoints L = q(k) the count is
+empty word.  Inside a band the formula is one affine expression plus two
+correction terms, one per de Bruijn event of `Level`: the secondary branch
+vertex v2 exists (`has_v2`, possible only when a_{k-1} is in A_k), and v1
+loses its a_k arc (not `keeps_ak`, possible only when a_k is not in
+A_{k+1}).  At the checkpoints L = q(k) the count is
 
     (|A_k| - 1) q(k) + [a_k in A_{k+1}] q(k-1).
 
@@ -31,36 +33,19 @@ from .words import DEFAULT_BUDGET, Level, level, level_at
 
 
 def band_complexity(lv: Level, length: int) -> int:
-    """p(length) for a length in the band of level lv, or 0."""
-    if length == 0:
-        return 1
-    if lv.n == 2:
-        size_prev = lv.size + (not lv.prev_in)
-        value = (lv.size_next - 1) * length \
-            + (size_prev - lv.size_next) * (lv.p1 + 1)
-        if lv.prev_in:
-            if length <= lv.p - lv.p2:
-                value += length - lv.p1 + lv.p2
-            else:
-                value += lv.p1 + 1
-        return value
+    """p(length) for a length in the band of level lv, or 0.
 
-    value = (lv.p1 + 1) + (lv.size - 1) * length
-    if length <= 2 * lv.p1 - lv.p2 + 1:
-        value += lv.prev_in * (length - 2 * lv.p1 + lv.p2 - 1)
-    elif length > lv.p - lv.p1:
-        value -= (not lv.stays) * (length - lv.p + lv.p1)
-    return value
+    p(L) sums the growth below L, but each correction term vanishes where
+    its event turns, so both events may be read at L itself.
+    """
+    return (lv.p1 + 1) + (lv.size - 1) * length \
+        + lv.has_v2(length) * (length - 2 * lv.p1 + lv.p2 - 1) \
+        - (not lv.keeps_ak(length)) * (length - lv.p + lv.p1)
 
 
 def band_growth(lv: Level, length: int) -> int:
     """R(length) for a length in the band of level lv, or 0."""
-    growth = lv.size - 1
-    if lv.p - lv.p1 <= length:
-        growth -= lv.size - lv.size_next
-    if lv.p1 + 1 <= length <= 2 * lv.p1 - lv.p2:
-        growth += lv.prev_in
-    return growth
+    return lv.size - 1 + lv.has_v2(length) - (not lv.keeps_ak(length))
 
 
 def complexity_formula(c: Coding, length: int) -> int:

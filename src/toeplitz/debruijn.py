@@ -19,7 +19,7 @@ from typing import Optional
 
 from .coding import Alphabet, Coding, tail_alphabet
 from .language import language, palindrome_counts
-from .words import DEFAULT_BUDGET, Level, block, level, level_at, word_prefix
+from .words import DEFAULT_BUDGET, Level, level, level_at, word_prefix
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,16 @@ class DeBruijnGraph:
         return nxt
 
 
-def _annotations(c: Coding, length: int, budget: int) -> GraphAnnotations:
+def _annotations(c: Coding, length: int) -> GraphAnnotations:
+    """u1 and u2 are the length-L prefixes of p(k), a prefix of the limit
+    word, and of p(k-1) a_{k-1} p(k-1); both are palindromes, so their
+    length-L suffixes v1 and v2 are u1 and u2 reversed."""
     lv = level(c, length)
-    p = block(c, lv.k, budget)
-    u1, v1 = p[:length], p[-length:]
-    u2 = v2 = None
-    if lv.prev_in and lv.p1 + 1 <= length <= 2 * lv.p1 - lv.p2:
-        prev = p[:lv.p1]  # p(k-1) is a prefix of p(k)
-        host = prev + bytes([c.letter(lv.k - 1)]) + prev
-        u2, v2 = host[:length], host[-length:]
-    return GraphAnnotations(lv.k, u1, v1, u2, v2)
+    u1, u2 = word_prefix(c, length), None
+    if lv.has_v2(length):
+        u2 = u1[:lv.p1] + bytes([c.letter(lv.k - 1)]) + u1[:length - lv.p1 - 1]
+    return GraphAnnotations(lv.k, u1, u1[::-1], u2,
+                            None if u2 is None else u2[::-1])
 
 
 def build_graph(c: Coding, length: int,
@@ -78,7 +78,7 @@ def build_graph(c: Coding, length: int,
     edges = tuple((w[:-1], w[1:], w) for w in language(c, length + 1, budget))
     vertices = tuple(sorted({u for u, _, _ in edges}))
     return DeBruijnGraph(c.alphabet, length, vertices, edges,
-                         _annotations(c, length, budget))
+                         _annotations(c, length))
 
 
 def right_special_report(graph: DeBruijnGraph) -> list[RightSpecial]:
@@ -125,21 +125,12 @@ def reflection_fixed_points(graph: DeBruijnGraph) -> list[bytes]:
 
 
 def band_palindromes(lv: Level, length: int) -> int:
-    """Palindromes among the length-L factors, L in the band of level lv.
-
-    With r = L mod (|p(k-1)|+1) and rt = L mod (|p(k-2)|+1) the count is a
-    sum of parity terms; the final bracket is active exactly when the
-    secondary branch vertex v2 exists.
-    """
+    """Palindromes among the length-L factors, L in the band of level lv:
+    parity terms in r = L mod (|p(k-1)|+1) and rt = L mod (|p(k-2)|+1)."""
     r, rt = length % (lv.p1 + 1), length % (lv.p2 + 1)
-    value = (lv.size - 1) * (length % 2) + (lv.p1 + 1 - r) % 2
-    if length <= lv.p - lv.p1 - 1:
-        value += r % 2
-    else:
-        value += (r % 2) * lv.stays
-    if lv.prev_in and length <= 2 * lv.p1 - lv.p2:
-        value += (rt % 2) + (lv.p2 + 1 - rt) % 2 - (length % 2)
-    return value
+    return (lv.size - 1) * (length % 2) + (lv.p1 + 1 - r) % 2 \
+        + (r % 2) * lv.keeps_ak(length) \
+        + lv.has_v2(length) * (rt % 2 + (lv.p2 + 1 - rt) % 2 - length % 2)
 
 
 def palindrome_formula(c: Coding, length: int) -> int:
@@ -203,7 +194,8 @@ def predicted_arcs(c: Coding, length: int
                    ) -> dict[tuple[bytes, int], tuple[bytes, int]]:
     """The paper's arc description as a `contracted_arcs` map.
 
-    Reads only the length L and the annotations, never a graph.  With
+    Reads only the length L and the annotations, whose words come from
+    the palindromic prefix of the limit word, never a graph.  With
     r = L mod (|p(k-1)|+1) and rt = L mod (|p(k-2)|+1): v1 reaches u1 in
     L+1 edges by every b in A_k other than a_k, and in r+1 edges by a_k
     unless L >= |p(k)| - |p(k-1)| and a_k is not in A_{k+1}.  When v2
@@ -211,12 +203,12 @@ def predicted_arcs(c: Coding, length: int
     itself by a_{k-1} in |p(k-2)|+1 edges and reaches u1 by a_k in r+1
     edges.  A u1 apart from v1 and v2 reaches v1 in |p(k-1)|-r edges.
     """
-    ann = _annotations(c, length, DEFAULT_BUDGET)
+    ann = _annotations(c, length)
     lv = level_at(c, ann.level)
     r = length % (lv.p1 + 1)
     arcs = {(ann.v1, b): (ann.u1, length + 1)
             for b in tail_alphabet(c, lv.k) if b != lv.a}
-    if length < lv.p - lv.p1 or lv.stays:
+    if lv.keeps_ak(length):
         arcs[ann.v1, lv.a] = (ann.u1, r + 1)
     if ann.v2 is not None:
         rt = length % (lv.p2 + 1)

@@ -97,6 +97,20 @@ def _slide(host: bytes, length: int) -> tuple[dict[bytes, int], int]:
     return last, max(widest + length - 2, len(host) - 1 - min(last.values()))
 
 
+def _least_window(c: Coding, length: int, window: int, budget: int) -> int:
+    """`repetitivity_oracle`, starting with the hosts that cover `window`;
+    any window up to R(length) will do, as the exactness test ignores it."""
+    while True:
+        hosts = enclosing_words(c, window, budget)
+        slides = [_slide(host, length) for host in hosts]
+        factors = len(set().union(*(last for last, _ in slides)))
+        need = 1 + max(miss if len(last) == factors else len(host)
+                       for host, (last, miss) in zip(hosts, slides))
+        if need <= level(c, window - 1).p + 1:
+            return need
+        window = need
+
+
 def repetitivity_oracle(c: Coding, length: int,
                         budget: int = DEFAULT_BUDGET) -> int:
     """Minimal window size containing every length-`length` factor.
@@ -112,16 +126,7 @@ def repetitivity_oracle(c: Coding, length: int,
     """
     if length < 1:
         raise IndexError("repetitivity lengths start at 1")
-    window = length + 1
-    while True:
-        hosts = enclosing_words(c, window, budget)
-        slides = [_slide(host, length) for host in hosts]
-        factors = len(set().union(*(last for last, _ in slides)))
-        need = 1 + max(miss if len(last) == factors else len(host)
-                       for host, (last, miss) in zip(hosts, slides))
-        if need <= level(c, window - 1).p + 1:
-            return need
-        window = need
+    return _least_window(c, length, length + 1, budget)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -188,14 +193,15 @@ def report(c: Coding, max_length: int,
 
     One walk over the bands serves every length, as `complexity.profile`
     walks the levels; band starts strictly increase, so each length
-    moves at most one band on.
+    moves at most one band on.  R never decreases, so each length's
+    oracle scan starts at the window where the previous one ended.
     """
-    rows, bands = [], _bands(c)
+    rows, bands, window = [], _bands(c), 2
     band, ahead = None, next(bands)
     for length in range(1, max_length + 1):
         if ahead[0] <= length:
             band, ahead = ahead, next(bands)
         formula = None if band is None else _band_value(band, length)
-        rows.append(RepetitivityRow(length, formula,
-                                    repetitivity_oracle(c, length, budget)))
+        window = _least_window(c, length, max(window, length + 1), budget)
+        rows.append(RepetitivityRow(length, formula, window))
     return rows

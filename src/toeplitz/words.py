@@ -43,7 +43,8 @@ def block_length(c: Coding, k: int) -> int:
 class Level:
     """The constants of the band |p(k-1)| + 1 <= L <= |p(k)|.
 
-    Block lengths below level 0 are 0; |A_{k-1}| = size + (not prev_in).
+    Block lengths below level 0 are 0.  Every formula reads the band's two
+    de Bruijn events here: `has_v2` and `keeps_ak`.
     """
 
     k: int
@@ -56,6 +57,14 @@ class Level:
     size_next: int  # |A_{k+1}|
     prev_in: bool  # a_{k-1} in A_k; False at k = 0
     stays: bool  # a_k in A_{k+1}
+
+    def has_v2(self, length: int) -> bool:
+        """Is there a secondary branch vertex v2 (needs |p(k-1)| < length)?"""
+        return self.prev_in and length <= 2 * self.p1 - self.p2
+
+    def keeps_ak(self, length: int) -> bool:
+        """Does the branch vertex v1 keep its a_k arc?"""
+        return self.stays or length < self.p - self.p1
 
 
 def level_at(c: Coding, k: int) -> Level:

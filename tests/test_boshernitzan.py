@@ -13,7 +13,7 @@ from toeplitz.coding import (Alphabet, Coding, CodingEntry, GeneratorTail,
                              eventual_alphabet)
 from toeplitz.errors import PrefixTooShort
 from toeplitz.language import language
-from toeplitz.verdicts import Status
+from toeplitz.verdicts import Status, trend_of
 
 
 def alternating_coding() -> Coding:
@@ -96,6 +96,14 @@ class TestVerdicts:
         bv = bosh_verdict(build(), horizon=6)
         assert bv.status is status
         assert bv.liminf_criterion is bv.status
+
+    @pytest.mark.parametrize("values, trend", [
+        ((1, 2, 2, 5), "increasing"), ((3, 1), "decreasing"),
+        ((2, 2, 2), "stable"), ((1, 3, 2), "mixed"), ((7,), "stable"),
+        ((), "stable"),
+    ])
+    def test_trend_flags(self, values, trend):
+        assert trend_of(values) == trend
 
 
 class TestEta:

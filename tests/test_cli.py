@@ -210,7 +210,8 @@ class TestExitCodes:
         ("--energies", "0:1:0"), ("--energies", "0:1:-4"),
         ("--energies", "nan:1:3"), ("--energies", "0:inf:3"),
         ("--q", "a=nan"), ("--p", "const=inf"),
-        ("--q", "w=1"), ("--p", "w=2"), ("--q", "a=foo"),
+        ("--q", "w=1"), ("--p", "w=2"), ("--q", "a=foo"), ("--q", "a"),
+        ("--energies", "0:1"), ("--energies", "-1e308:1e308:3"),
     ])
     def test_bad_spectrum_numbers_are_usage_errors(self, capsys, flag, value):
         argv = {"--energies": "0:1:2", "--q": "const=0", "--p": "const=1"}
@@ -277,9 +278,12 @@ class TestExitCodes:
         (("bosh", "--eta", "-1", "--prefix", "100"), "--eta:"),
         (("gen", "--length", "4", "--budget", "0"), "--budget:"),
         (("gen", "--length", "4", "--budget", "-1"), "--budget:"),
+        (("bosh", "--eta", "2"), "--eta:"),
+        (("repetitivity",), "--max-len:"),
     ], ids=["complexity", "palindrome", "repetitivity", "alpha-horizon",
             "bosh-negative-horizon", "bosh-zero-horizon", "bosh-negative-prefix",
-            "bosh-negative-eta", "zero-budget", "negative-budget"])
+            "bosh-negative-eta", "zero-budget", "negative-budget",
+            "bosh-eta-without-prefix", "repetitivity-without-table"])
     def test_out_of_range_counts_are_usage_errors(self, capsys, argv, flag):
         command, *rest = argv
         code, out, err = run(capsys, command, "--preset", "liuqu", *rest)
@@ -289,6 +293,12 @@ class TestExitCodes:
         code, out, err = run(capsys, "bosh", "--preset", "grigorchuk",
                              "--eta", "2", "--prefix", "5")
         assert code == 3 and out == "" and "got 5" in err
+
+    def test_missing_eta_factor_is_named_by_its_letters(self, capsys):
+        code, out, err = run(capsys, "bosh", "--coding", "a:2 | b:50 c:2",
+                             "--eta", "1", "--prefix", "20")
+        assert code == 3 and out == ""
+        assert "factor c never occurs in the first 20 symbols" in err
 
     def test_alpha_below_one_names_the_flag(self, capsys):
         code, out, err = run(capsys, "repetitivity", "--preset", "grigorchuk",

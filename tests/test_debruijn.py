@@ -11,6 +11,7 @@ from toeplitz.complexity import complexity_formula, growth_formula
 from toeplitz.debruijn import (
     DeBruijnGraph,
     GraphAnnotations,
+    _annotations,
     build_graph,
     contracted_arcs,
     is_strongly_connected,
@@ -23,7 +24,8 @@ from toeplitz.debruijn import (
     right_special_report,
     to_dot,
 )
-from toeplitz.words import block_length
+from toeplitz.presets import l_grigorchuk
+from toeplitz.words import block, block_length, level
 
 
 def render(c, w):
@@ -51,6 +53,22 @@ class TestStructure:
         assert len(g.vertices) == 8
         assert render(grig, g.annotations.u1) == "axa"
         assert render(grig, g.annotations.v1) == "axa"
+
+    def test_annotations_are_slices_of_their_hosts(self, battery, grig):
+        # u1, v1 open and close p(k); u2, v2 open and close p(k-1) a_{k-1}
+        # p(k-1) while a_{k-1} is in A_k and |p(k-1)| < L <= 2|p(k-1)| - |p(k-2)|
+        for c in list(battery) + [grig, l_grigorchuk(1, 3)]:
+            blocks = [block(c, k) for k in range(6)]
+            for L in range(1, len(blocks[5]) + 1):
+                lv = level(c, L)
+                p, prev = blocks[lv.k], blocks[lv.k - 1] if lv.k else b""
+                want = (lv.k, p[:L], p[-L:], None, None)
+                if lv.prev_in and len(prev) < L <= 2 * len(prev) - lv.p2:
+                    host = prev + bytes([c.letter(lv.k - 1)]) + prev
+                    want = want[:3] + (host[:L], host[-L:])
+                ann = _annotations(c, L)
+                assert (ann.level, ann.u1, ann.v1, ann.u2, ann.v2) == want, \
+                    (c.spec_string(), L)
 
     def test_counts_match_complexity(self, battery, grig):
         for c in list(battery[:10]) + [grig]:

@@ -61,8 +61,16 @@ class TestOracle:
     @pytest.mark.parametrize("c", [grigorchuk(), l_grigorchuk(1, 3)],
                              ids=["grigorchuk", "l-grigorchuk(1,3)"])
     def test_matches_formula_at_every_length_to_128(self, c):
+        oracle = [repetitivity_oracle(c, L) for L in range(1, 129)]
         for L in range(formula_valid_from(c), 129):
-            assert repetitivity_oracle(c, L) == repetitivity_formula(c, L), L
+            assert oracle[L - 1] == repetitivity_formula(c, L), L
+        # `report` starts each length's scan where the previous one ended
+        assert [r.oracle for r in report(c, 128)] == oracle
+
+    def test_report_carries_windows_on_liuqu(self, liu_qu):
+        budget = 1 << 20
+        assert [r.oracle for r in report(liu_qu, 16, budget)] == \
+            [repetitivity_oracle(liu_qu, L, budget) for L in range(1, 17)]
 
     def test_strictly_monotone(self, grig):
         values = [repetitivity_oracle(grig, L) for L in range(1, 10)]
@@ -220,7 +228,7 @@ def test_report_stitches_oracle_below_threshold(grig):
 def test_report_formula_column_walks_the_bands(monkeypatch, c):
     # the oracle is stubbed out: this pins the one band walk of `report`
     # against the per-length search of `repetitivity_formula`
-    monkeypatch.setattr(repetitivity, "repetitivity_oracle", lambda *_: 0)
+    monkeypatch.setattr(repetitivity, "_least_window", lambda *_: 0)
     want = []
     for length in range(1, 1025):
         try:
