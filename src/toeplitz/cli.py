@@ -6,7 +6,9 @@ sorted, JSON keys are sorted and floats use repr.  Every scan runs serially;
 the worker-count flag is accepted for compatibility and has no effect.
 Each handler imports the modules it runs, so a subcommand loads only its own
 layers: `presets` loads `cli`, `errors`, `presets` and `coding`, and only
-`spectrum` imports `toeplitz.spectral`, and with it numpy.
+`spectrum` imports `toeplitz.spectral`.  Of the `spectrum` runs, only
+`--energies` imports numpy, and `--size` too where numpy's wheel bundles no
+LAPACK `dsterf`.
 """
 
 from __future__ import annotations

@@ -22,26 +22,28 @@ walk to the exact one.
 Finite sections are truncations to positions 0..N-1 of the one-sided
 representative word with zero boundary conditions: real symmetric
 tridiagonal matrices whose spectra approximate the operator spectrum.
-They stay as a diagonal and an off-diagonal; LAPACK's tridiagonal
-`dsterf`, called through ctypes from the OpenBLAS bundled with numpy,
-takes their eigenvalues in O(N^2) time and O(N) memory, the same floats a
-dense solver gives.  A numpy without that library gets the dense
-`np.linalg.eigvalsh`.  Cantor structure or measure-zero claims are never
-asserted here; only cover-length trends are reported.
+They stay as a diagonal and an off-diagonal of Python floats; LAPACK's
+tridiagonal `dsterf`, called through ctypes from the OpenBLAS bundled in
+numpy's wheel, takes their eigenvalues in O(N^2) time and O(N) memory, the
+same floats a dense solver gives, without importing numpy.  Only the
+Lyapunov walk imports numpy, and so do sections where numpy bundles no
+such library: numpy's dense `eigvalsh` takes their eigenvalues instead.
+Cantor structure or measure-zero claims are never asserted here; only
+cover-length trends are reported.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.util
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from .coding import Alphabet, Coding
 from .errors import BudgetExceeded
@@ -199,7 +201,7 @@ class SpectrumApproximation:
 
 
 def finite_section(c: Coding, coeff: CoefficientMap, size: int,
-                   budget: int = DEFAULT_BUDGET) -> tuple[np.ndarray, np.ndarray]:
+                   budget: int = DEFAULT_BUDGET) -> tuple[list[float], list[float]]:
     """Diagonal and off-diagonal of the truncation to positions 0..size-1.
 
     The coupling between sites k and k+1 is p at the letter of position
@@ -208,12 +210,12 @@ def finite_section(c: Coding, coeff: CoefficientMap, size: int,
     if size < 2:
         raise IndexError("finite sections need size >= 2")
     word = word_prefix(c, size + 1, budget)
-    diag = np.array([float(coeff.q(word[k])) for k in range(size)])
-    off = np.array([float(coeff.p(word[k + 1])) for k in range(size - 1)])
-    return diag, off
+    qs = [float(v) for v in coeff.q_values]
+    ps = [float(v) for v in coeff.p_values]
+    return [qs[w] for w in word[:size]], [ps[w] for w in word[1:size]]
 
 
-_TINY_OVER_EPS = np.finfo(float).tiny / np.finfo(float).eps
+_TINY_OVER_EPS = sys.float_info.min / sys.float_info.epsilon
 _RMIN = math.sqrt(_TINY_OVER_EPS)
 _RMAX = math.sqrt(1.0 / _TINY_OVER_EPS)
 
@@ -223,20 +225,23 @@ def _dsterf():
     """LAPACK's `dsterf` from the OpenBLAS in numpy's wheel, or None.
 
     numpy's wheels ship scipy-openblas64 as
-    `<site-packages>/numpy.libs/libscipy_openblas64_*.so`, which numpy has
-    already loaded; its symbols carry a `scipy_` prefix and a `64_` suffix,
-    and its integers are 64-bit.  A numpy built against another LAPACK has
-    no such file.
+    `<site-packages>/numpy.libs/libscipy_openblas64_*.so`; `find_spec`
+    locates numpy without importing it, and ctypes loads the library
+    alone.  Its symbols carry a `scipy_` prefix and a `64_` suffix, and its
+    integers are 64-bit.  A numpy built against another LAPACK, or whose
+    wheel bundles an older OpenBLAS, has no such file.
     """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    spec = importlib.util.find_spec("numpy")
+    if spec is None or spec.origin is None:
+        return None
+    libs = Path(spec.origin).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
             dsterf = ctypes.CDLL(str(path)).scipy_dsterf_64_
         except (OSError, AttributeError):
             continue
-        array = np.ctypeslib.ndpointer(np.float64, ndim=1,
-                                       flags=("C_CONTIGUOUS", "WRITEABLE"))
         integer = ctypes.POINTER(ctypes.c_int64)
+        array = ctypes.POINTER(ctypes.c_double)
         dsterf.argtypes = [integer, array, array, integer]
         dsterf.restype = None
         return dsterf
@@ -248,20 +253,22 @@ def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
     """Eigenvalues of the finite section, sorted ascending.
 
     LAPACK's `dsterf` (root-free QL/QR), called through ctypes from the
-    OpenBLAS that numpy already loaded, runs on the diagonal and
+    OpenBLAS bundled in numpy's wheel, runs on the diagonal and
     off-diagonal directly, in O(N^2) time and O(N) memory, and returns the
     same floats as the dense `np.linalg.eigvalsh`: its `dsyevd` leaves a
     tridiagonal matrix as it is and calls `dsterf` too, after two steps
     repeated here.  It scales the matrix by sigma when the largest entry
     lies outside [sqrt(tiny/eps), sqrt(eps/tiny)] and multiplies the
     eigenvalues by 1/sigma; and its dense sum turns a -0.0 diagonal entry
-    into 0.0, hence `+ 0.0`.  Where numpy carries no such library, the
-    dense `np.linalg.eigvalsh` of the assembled matrix runs instead.
+    into 0.0, hence `+ 0.0`.  Each step is one IEEE operation per entry on
+    Python floats, the one numpy does, so numpy is not imported.  Where
+    numpy's wheel carries no such library, numpy's dense `eigvalsh` of the
+    assembled matrix runs instead.
 
     A size-N section still counts N * N entries against `budget`, as the
     dense solver did, so `--budget` stops the same sizes.  Infinite or NaN
     entries raise ValueError before either solver runs, and a `dsterf`
-    that does not converge raises `np.linalg.LinAlgError`.
+    that does not converge raises `np.linalg.LinAlgError`, a ValueError.
     """
     if size >= 2 and size * size > budget:
         raise BudgetExceeded(
@@ -270,27 +277,34 @@ def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
         )
     diag, off = finite_section(c, coeff, size, budget)
     _warn_if_degenerate(coeff)
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+    entries = diag + off
+    if not all(map(math.isfinite, entries)):
         raise ValueError("array must not contain infs or NaNs")
     dsterf = _dsterf()
     if dsterf is None:
+        import numpy as np
+
         matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         return SpectrumApproximation(tuple(np.linalg.eigvalsh(matrix).tolist()))
 
-    norm = max(np.abs(diag).max(), np.abs(off).max())
+    norm = max(map(abs, entries))
     sigma = 1.0
     if 0 < norm < _RMIN:
         sigma = _RMIN / norm
     elif norm > _RMAX:
         sigma = _RMAX / norm
-    # new arrays: dsterf overwrites both, and leaves the eigenvalues in d
-    d, e = (diag + 0.0) * sigma, off * sigma
+    # dsterf overwrites both arrays, and leaves the eigenvalues in d
+    d = (ctypes.c_double * size)(*[(v + 0.0) * sigma for v in diag])
+    e = (ctypes.c_double * (size - 1))(*[v * sigma for v in off])
     info = ctypes.c_int64()
     dsterf(ctypes.byref(ctypes.c_int64(size)), d, e, ctypes.byref(info))
     if info.value > 0:
+        import numpy as np
+
         raise np.linalg.LinAlgError(
             f"dsterf did not converge (LAPACK info={info.value})")
-    return SpectrumApproximation(tuple((d * (1.0 / sigma)).tolist()))
+    inverse = 1.0 / sigma
+    return SpectrumApproximation(tuple([v * inverse for v in d]))
 
 
 def spectral_bounds(coeff: CoefficientMap) -> tuple[float, float]:
@@ -320,6 +334,8 @@ def lyapunov_over_grid(c: Coding, coeff: CoefficientMap,
     on the rest of the grid.  A value that is not finite, because an entry
     or a checkpoint norm overflowed a float, raises OverflowError.
     """
+    import numpy as np
+
     if n < 1:
         raise IndexError("lyapunov estimates need n >= 1")
     _warn_if_degenerate(coeff)
