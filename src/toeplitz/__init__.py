@@ -16,8 +16,8 @@ import importlib
 _EXPORTS = {
     "coding": (
         "Alphabet", "Coding", "CodingEntry", "GeneratorTail", "PeriodicTail",
-        "eventual_alphabet", "kappa", "m_sequence", "normalize",
-        "stabilization_index", "tail_alphabet",
+        "eventual_alphabet", "kappa", "normalize", "stabilization_index",
+        "tail_alphabet",
     ),
     "errors": (
         "AllLettersEqual", "BudgetExceeded", "EmptyCoding", "HorizonExceeded",

@@ -255,6 +255,8 @@ def _cmd_bosh(c: Coding, args) -> int:
             "prefix": eta.prefix_length,
             "rarest": c.alphabet.render(eta.rarest or b""),
         }
+    elif args.prefix is not None:
+        raise ValueError("--prefix: requires --eta L")
     _emit_json(payload, args.out)
     return 0
 
@@ -289,6 +291,8 @@ def _parse_coeff(c: Coding, spec: str, flag: str,
 def _cmd_spectrum(c: Coding, args) -> int:
     from . import spectral
 
+    if args.lyapunov is not None and not args.energies:
+        raise ValueError("--lyapunov: requires --energies lo:hi:steps")
     coeff = spectral.CoefficientMap.from_names(
         c.alphabet, q=_parse_coeff(c, args.q, "--q", 0.0),
         p=_parse_coeff(c, args.p, "--p", 1.0))

@@ -102,19 +102,18 @@ class GeneratorTail:
 
     ``recurrent`` is the set of letter ids the rule promises to emit
     infinitely often, with the contract that *every* letter it ever emits
-    belongs to that set.  Without it, tail alphabets cannot be certified
-    from a finite scan and the corresponding queries raise HorizonExceeded.
+    belongs to that set.  Tail alphabets are read from it, since no finite
+    scan could certify them.
     """
 
     name: str
     entries: tuple[CodingEntry, ...]
-    recurrent: Union[frozenset[int], None] = None
+    recurrent: frozenset[int]
 
     def __post_init__(self):
         if not self.entries:
             raise EmptyCoding("generator tail materialized no entries")
-        if self.recurrent is not None and any(
-                e.letter not in self.recurrent for e in self.entries):
+        if any(e.letter not in self.recurrent for e in self.entries):
             raise ValueError(
                 f"generator '{self.name}' emitted letters outside its "
                 "declared recurrent alphabet"
@@ -163,9 +162,7 @@ class Coding:
             return self.tail.entries[j % len(self.tail.entries)]
         if j >= self.tail.horizon:
             raise HorizonExceeded(
-                f"index {k} beyond generator horizon of {self.horizon} entries",
-                horizon=self.horizon,
-            )
+                f"index {k} beyond generator horizon of {self.horizon} entries")
         return self.tail.entries[j]
 
     def letter(self, k: int) -> int:
@@ -272,12 +269,6 @@ def tail_alphabet(c: Coding, k: int) -> frozenset[int]:
     rest = {e.letter for e in c.preperiod[k:]}
     if isinstance(c.tail, PeriodicTail):
         return frozenset(rest | {e.letter for e in c.tail.entries})
-    if c.tail.recurrent is None:
-        raise HorizonExceeded(
-            f"generator '{c.tail.name}' declares no recurrent alphabet; "
-            "tail alphabets cannot be certified",
-            horizon=c.horizon,
-        )
     return frozenset(rest | c.tail.recurrent)
 
 
@@ -322,20 +313,6 @@ def jumps(c: Coding) -> Iterator[tuple[int, int, int]]:
         if (top := kappa(c, k)) > before:
             yield k, top, before
             before = top
-
-
-def m_sequence(c: Coding, i: int) -> int:
-    """m_i: 0 for i = 0, else the index of the i-th triple of `jumps`.
-
-    Once the tail alphabet has stabilized this coincides with the backward
-    recursion m_{i+1} = max{j <= kappa(m_i) : {a_j..a_{kappa(m_i)}} = A_{m_i+1}};
-    while letters are still dropping out of the tail alphabet only the jump
-    characterization keeps kappa constant on [m_i, m_{i+1} - 1] and
-    a_{m_i} = a_{kappa(m_i)}, which is what every consumer here relies on.
-    """
-    if i < 0:
-        raise IndexError("m-sequence index must be >= 0")
-    return next(islice(jumps(c), i - 1, None))[0] if i else 0
 
 
 def m_cycle(c: Coding) -> tuple[int, int]:

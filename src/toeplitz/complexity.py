@@ -18,16 +18,15 @@ may sit on either side of the checkpoint, and here it sits below.
 
 The growth R(L) = p(L+1) - p(L) counts right-special branching and is what
 the de Bruijn module cross-checks degree sums against.  All arithmetic is
-exact (Python ints, fractions for quotients).
+exact (Python ints).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .coding import Coding, stabilization_index
+from .coding import Coding
 from .language import factor_counts
 from .words import DEFAULT_BUDGET, Level, level, level_at
 
@@ -60,42 +59,6 @@ def growth_formula(c: Coding, length: int) -> int:
     if length < 0:
         raise IndexError("length must be >= 0")
     return band_growth(level(c, length), length)
-
-
-def checkpoint_complexity(c: Coding, k: int) -> int:
-    """p(|p(k)| + 1) in closed form."""
-    lv = level_at(c, k)
-    return (lv.size - 1) * (lv.p + 1) + lv.stays * (lv.p1 + 1)
-
-
-@dataclass(frozen=True)
-class QuotientExtrema:
-    """Extremes of p(L)/L over the band |p(k-1)|+2 <= L <= |p(k)|+1."""
-
-    level: int
-    max_value: Fraction
-    argmax_length: int
-    min_lower_bound: Fraction
-
-
-def quotient_extrema(c: Coding, k: int) -> QuotientExtrema:
-    """Exact band extremes of p(L)/L, valid once the alphabet has stabilized.
-
-    The maximum |A_ev| - (n_{k-1} - 1)/(2 n_{k-1} - 1) is attained at
-    L = 2|p(k-1)| - |p(k-2)| + 1 and never exceeds |A_ev| - 1/3; the minimum
-    stays strictly above |A_ev| - 1.
-    """
-    if k < stabilization_index(c) + 1:
-        raise ValueError(
-            f"quotient extrema need k >= N_ev + 1 = {stabilization_index(c) + 1}"
-        )
-    lv = level_at(c, k)  # k > N_ev, so lv.size = |A_ev|
-    n_prev = c.period(k - 1)
-    max_value = lv.size - Fraction(n_prev - 1, 2 * n_prev - 1)
-    argmax = 2 * lv.p1 - lv.p2 + 1
-    lower = min(lv.size - Fraction(lv.n - 1, lv.n),
-                lv.size - Fraction(n_prev - 1, n_prev))
-    return QuotientExtrema(k, max_value, argmax, lower)
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,12 @@ prefix u1 and suffix v1 of the governing block p(k), occasionally with a
 secondary branch vertex v2 (suffix of p(k-1) a_{k-1} p(k-1)); that
 description is checked as `contracted_arcs == predicted_arcs`.  Reversal of
 words is a graph anti-automorphism; its fixed vertices are exactly the
-palindromes, which yields a closed palindrome-count formula checked here
-against an eertree over the enclosing words and against direct enumeration.
+palindromes, which yields a closed palindrome-count formula that
+`palindrome --check` holds to an eertree over the enclosing words.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -90,40 +89,6 @@ def right_special_report(graph: DeBruijnGraph) -> list[RightSpecial]:
     ]
 
 
-def is_strongly_connected(graph: DeBruijnGraph) -> bool:
-    if not graph.vertices:
-        return False
-
-    def reaches_all(adjacency: dict[bytes, list[bytes]]) -> bool:
-        seen = {graph.vertices[0]}
-        queue = deque(seen)
-        while queue:
-            for nxt in adjacency[queue.popleft()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return len(seen) == len(graph.vertices)
-
-    forward = graph.successors()
-    backward: dict[bytes, list[bytes]] = {v: [] for v in graph.vertices}
-    for u, v, _ in graph.edges:
-        backward[v].append(u)
-    return reaches_all(forward) and reaches_all(backward)
-
-
-def reflection_check(graph: DeBruijnGraph) -> bool:
-    """Does word reversal map the graph onto itself with arrows flipped?"""
-    vertex_set = set(graph.vertices)
-    if any(v[::-1] not in vertex_set for v in graph.vertices):
-        return False
-    edge_pairs = {(u, v) for u, v, _ in graph.edges}
-    return all((v[::-1], u[::-1]) in edge_pairs for u, v in edge_pairs)
-
-
-def reflection_fixed_points(graph: DeBruijnGraph) -> list[bytes]:
-    return [v for v in graph.vertices if v == v[::-1]]
-
-
 def band_palindromes(lv: Level, length: int) -> int:
     """Palindromes among the length-L factors, L in the band of level lv:
     parity terms in r = L mod (|p(k-1)|+1) and rt = L mod (|p(k-2)|+1)."""
@@ -138,12 +103,6 @@ def palindrome_formula(c: Coding, length: int) -> int:
     if length < 1:
         raise IndexError("palindrome counts start at length 1")
     return band_palindromes(level(c, length), length)
-
-
-def palindrome_oracle(c: Coding, length: int,
-                      budget: int = DEFAULT_BUDGET) -> int:
-    """Palindromes among language(length): the per-L reference for the eertree."""
-    return sum(1 for w in language(c, length, budget) if w == w[::-1])
 
 
 @dataclass(frozen=True)

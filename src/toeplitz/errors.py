@@ -19,10 +19,6 @@ class AllLettersEqual(ToeplitzError):
 class HorizonExceeded(ToeplitzError):
     """A generator-backed coding was asked about indices beyond its horizon."""
 
-    def __init__(self, message: str, horizon: int | None = None):
-        super().__init__(message)
-        self.horizon = horizon
-
 
 class BudgetExceeded(ToeplitzError):
     """Materializing a word would exceed the configured symbol budget."""

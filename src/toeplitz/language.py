@@ -183,9 +183,3 @@ def right_extensions(c: Coding, word: bytes,
         raise WordNotInLanguage(f"{word!r} is not a factor of the subshift")
     return extensions
 
-
-def prefix_factor_set(length: int, prefix: bytes) -> frozenset[bytes]:
-    """Length-`length` factors of an explicit prefix; independent cross-check."""
-    return frozenset(
-        prefix[i:i + length] for i in range(len(prefix) - length + 1)
-    )

@@ -28,8 +28,7 @@ numpy's wheel, takes their eigenvalues in O(N^2) time and O(N) memory, the
 same floats a dense solver gives, without importing numpy.  Only the
 Lyapunov walk imports numpy, and so do sections where numpy bundles no
 such library: numpy's dense `eigvalsh` takes their eigenvalues instead.
-Cantor structure or measure-zero claims are never asserted here; only
-cover-length trends are reported.
+Cantor structure or measure-zero claims are never asserted here.
 """
 
 from __future__ import annotations
@@ -66,12 +65,6 @@ class CoefficientMap:
             raise ValueError("need one (p, q) pair per letter")
         if any(v == 0 for v in self.p_values):
             raise ValueError("off-diagonal values p must be nonzero")
-
-    @classmethod
-    def constant(cls, alphabet: Alphabet, p: Number = 1,
-                 q: Number = 0) -> "CoefficientMap":
-        n = len(alphabet)
-        return cls(alphabet, (p,) * n, (q,) * n)
 
     @classmethod
     def from_names(cls, alphabet: Alphabet, q: dict, p: Optional[dict] = None
@@ -185,20 +178,6 @@ class SpectrumApproximation:
 
     eigenvalues: tuple[float, ...]
 
-    def cover(self, delta: float) -> tuple[tuple[float, float], ...]:
-        """Union of [ev - delta, ev + delta], merged into disjoint intervals."""
-        intervals: list[tuple[float, float]] = []
-        for ev in self.eigenvalues:
-            lo, hi = ev - delta, ev + delta
-            if intervals and lo <= intervals[-1][1]:
-                intervals[-1] = (intervals[-1][0], max(intervals[-1][1], hi))
-            else:
-                intervals.append((lo, hi))
-        return tuple(intervals)
-
-    def cover_length(self, delta: float) -> float:
-        return sum(hi - lo for lo, hi in self.cover(delta))
-
 
 def finite_section(c: Coding, coeff: CoefficientMap, size: int,
                    budget: int = DEFAULT_BUDGET) -> tuple[list[float], list[float]]:
@@ -305,13 +284,6 @@ def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
             f"dsterf did not converge (LAPACK info={info.value})")
     inverse = 1.0 / sigma
     return SpectrumApproximation(tuple([v * inverse for v in d]))
-
-
-def spectral_bounds(coeff: CoefficientMap) -> tuple[float, float]:
-    """Gershgorin-style enclosure [min q - 2 max|p|, max q + 2 max|p|]."""
-    qs = [float(v) for v in coeff.q_values]
-    top = 2 * max(abs(float(v)) for v in coeff.p_values)
-    return min(qs) - top, max(qs) + top
 
 
 def energy_grid(lo: float, hi: float, steps: int) -> list[float]:

@@ -12,20 +12,23 @@ import time
 import warnings
 from pathlib import Path
 
-import pytest
 from conftest import child_env
+from oracles import (
+    band_lengths,
+    cover_length,
+    is_strongly_connected,
+    m_sequence,
+    reflection_check,
+)
 
 from toeplitz.boshernitzan import bosh_verdict
-from toeplitz.coding import eventual_alphabet, kappa, m_sequence, scaled_length
+from toeplitz.coding import eventual_alphabet, kappa, scaled_length
 from toeplitz.complexity import complexity_formula, growth_formula
 from toeplitz.debruijn import (
     build_graph,
     contracted_arcs,
-    is_strongly_connected,
     palindrome_formula,
     predicted_arcs,
-    reflection_check,
-    reflection_fixed_points,
     right_special_report,
 )
 from toeplitz.language import factor_counts, language, palindrome_counts
@@ -129,19 +132,9 @@ def test_criterion_3_debruijn_structure(battery):
                     r.out_degree - 1 for r in right_special_report(graph)
                 )
                 assert degree_slack == growth_formula(c, L)
-                assert len(reflection_fixed_points(graph)) == \
-                    palindrome_formula(c, L)
+                fixed = [v for v in graph.vertices if v == v[::-1]]
+                assert len(fixed) == palindrome_formula(c, L)
                 assert contracted_arcs(graph) == predicted_arcs(c, L)
-
-
-def _band_lengths(c, i):
-    m, m_next = m_sequence(c, i), m_sequence(c, i + 1)
-    lo = block_length(c, m) - block_length(c, m - 1) + 1
-    hi = block_length(c, m_next) - block_length(c, m_next - 1)
-    probes = {lo, block_length(c, m) + 1, hi}
-    if block_length(c, m) + 2 <= hi:
-        probes.add(block_length(c, m) + 2)
-    return sorted(probes)
 
 
 def test_criterion_4_repetitivity(grig, battery):
@@ -158,7 +151,7 @@ def test_criterion_4_repetitivity(grig, battery):
             if scaled_length(c, kappa(c, m_sequence(c, 2))) > 20000:
                 continue
             for i in (1, 2, 3):
-                for L in _band_lengths(c, i):
+                for L in band_lengths(c, i):
                     want = repetitivity_formula(c, L)
                     got = repetitivity_oracle(c, L)
                     assert got == want, (c.spec_string(), i, L)
@@ -215,7 +208,7 @@ def test_criterion_6_spectral_properties(grig):
         assert abs(transfer_cocycle(grig, coeff, 0.0, 512).det() - 1.0) <= 1e-12
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            free = CoefficientMap.constant(grig.alphabet)
+            free = CoefficientMap(grig.alphabet, (1,) * 4, (0,) * 4)
             assert abs(transfer_cocycle(grig, free, 0.7, 4096).det() - 1.0) \
                 <= 1e-12
 
@@ -235,8 +228,10 @@ def test_criterion_6_spectral_properties(grig):
                 assert large[j] <= small[j] + 1e-10
                 assert small[j] <= large[j + 1] + 1e-10
 
-        cover_small = finite_section_spectrum(grig, coeff, 256).cover_length(0.05)
-        cover_large = finite_section_spectrum(grig, coeff, 512).cover_length(0.05)
+        cover_small = cover_length(
+            finite_section_spectrum(grig, coeff, 256).eigenvalues, 0.05)
+        cover_large = cover_length(
+            finite_section_spectrum(grig, coeff, 512).eigenvalues, 0.05)
         assert cover_large <= cover_small + 0.1
 
 

@@ -280,11 +280,14 @@ class TestExitCodes:
         (("gen", "--length", "4", "--budget", "0"), "--budget:"),
         (("gen", "--length", "4", "--budget", "-1"), "--budget:"),
         (("bosh", "--eta", "2"), "--eta:"),
+        (("bosh", "--prefix", "100"), "--prefix:"),
+        (("spectrum", "--lyapunov", "100"), "--lyapunov:"),
         (("repetitivity",), "--max-len:"),
     ], ids=["complexity", "palindrome", "repetitivity", "alpha-horizon",
             "bosh-negative-horizon", "bosh-zero-horizon", "bosh-negative-prefix",
             "bosh-negative-eta", "zero-budget", "negative-budget",
-            "bosh-eta-without-prefix", "repetitivity-without-table"])
+            "bosh-eta-without-prefix", "bosh-prefix-without-eta",
+            "spectrum-lyapunov-without-energies", "repetitivity-without-table"])
     def test_out_of_range_counts_are_usage_errors(self, capsys, argv, flag):
         command, *rest = argv
         code, out, err = run(capsys, command, "--preset", "liuqu", *rest)

@@ -4,6 +4,7 @@ from itertools import islice
 
 import pytest
 from conftest import SHRINKING, squaring_coding
+from oracles import m_sequence
 
 from toeplitz.coding import (
     Alphabet,
@@ -15,7 +16,6 @@ from toeplitz.coding import (
     jumps,
     kappa,
     m_cycle,
-    m_sequence,
     normalize,
     stabilization_index,
     tail_alphabet,
@@ -102,13 +102,6 @@ class TestTailAlphabet:
         for c in battery:
             for k in range(6):
                 assert tail_alphabet(c, k + 1) <= tail_alphabet(c, k)
-
-    def test_generator_without_recurrent_declaration_refuses(self):
-        ab = Alphabet.from_names("xy")
-        tail = GeneratorTail("opaque", entries(ab, [("x", 2), ("y", 2)] * 8))
-        c = Coding(ab, (), tail)
-        with pytest.raises(HorizonExceeded):
-            tail_alphabet(c, 0)
 
     def test_generator_letter_outside_recurrent_refuses_at_build(self):
         ab = Alphabet.from_names("xyz")

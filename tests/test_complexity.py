@@ -3,14 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from oracles import quotient_extrema
 
-from toeplitz.complexity import (
-    checkpoint_complexity,
-    complexity_formula,
-    growth_formula,
-    profile,
-    quotient_extrema,
-)
+from toeplitz.complexity import complexity_formula, growth_formula, profile
 from toeplitz.coding import eventual_alphabet, stabilization_index, tail_alphabet
 from toeplitz.language import factor_counts, language
 from toeplitz.presets import l_grigorchuk, parse_coding_spec
@@ -81,18 +76,26 @@ class TestGrowth:
                     len(language(c, L + 1)) - len(language(c, L))
 
 
+def checkpoint(c, k):
+    """q(k) = |p(k)| + 1 and p(q(k)) = (|A_k| - 1) q(k) + [a_k in A_{k+1}] q(k-1)."""
+    q = block_length(c, k) + 1
+    stays = c.letter(k) in tail_alphabet(c, k + 1)
+    return q, (len(tail_alphabet(c, k)) - 1) * q \
+        + stays * (block_length(c, k - 1) + 1)
+
+
 class TestCheckpoints:
     def test_grigorchuk(self, grig):
-        assert checkpoint_complexity(grig, 0) == 6
-        assert checkpoint_complexity(grig, 2) == 20
+        assert complexity_formula(grig, block_length(grig, 0) + 1) == 6
+        assert complexity_formula(grig, block_length(grig, 2) + 1) == 20
 
     def test_two_letter_closed_form(self, two_letter):
         # |A| = 2 keeps the indicator on: (|p(k)|+1) + (|p(k-1)|+1)
         for k in range(5):
-            want = (block_length(two_letter, k) + 1) \
-                + (block_length(two_letter, k - 1) + 1)
-            assert checkpoint_complexity(two_letter, k) == want
-            assert len(language(two_letter, block_length(two_letter, k) + 1)) == want
+            q = block_length(two_letter, k) + 1
+            want = q + (block_length(two_letter, k - 1) + 1)
+            assert complexity_formula(two_letter, q) == want
+            assert len(language(two_letter, q)) == want
 
     def test_checkpoints_and_quotients_match_the_oracle(self, battery, grig):
         # every band N_ev + 1 <= k <= 6: p(|p(k)| + 1) and the exact
@@ -101,52 +104,50 @@ class TestCheckpoints:
         for c in list(battery) + [grig, l_grigorchuk(1, 3)]:
             counts = factor_counts(c, block_length(c, 6) + 1)
             for k in range(stabilization_index(c) + 1, 7):
-                assert checkpoint_complexity(c, k) == \
-                    counts[block_length(c, k) + 1]
-                qe = quotient_extrema(c, k)
+                q, want = checkpoint(c, k)
+                assert counts[q] == want
+                top, argmax, lower = quotient_extrema(c, k)
                 lo = block_length(c, k - 1) + 2
-                quotients = [Fraction(counts[L], L)
-                             for L in range(lo, block_length(c, k) + 2)]
-                assert max(quotients) == qe.max_value
-                assert quotients[qe.argmax_length - lo] == qe.max_value
-                assert min(quotients) >= qe.min_lower_bound
+                quotients = [Fraction(counts[L], L) for L in range(lo, q + 1)]
+                assert max(quotients) == top
+                assert quotients[argmax - lo] == top
+                assert min(quotients) >= lower
                 bands += 1
         assert bands == 306
 
     def test_equals_formula_at_checkpoint_lengths(self, battery):
         for c in battery[:14]:
             for k in range(4):
-                assert checkpoint_complexity(c, k) == \
-                    complexity_formula(c, block_length(c, k) + 1)
+                q, want = checkpoint(c, k)
+                assert complexity_formula(c, q) == want
 
 
 class TestQuotients:
     def test_grigorchuk_band_two(self, grig):
-        qe = quotient_extrema(grig, 2)
-        assert qe.max_value == Fraction(8, 3)
-        assert qe.argmax_length == 6
+        top, argmax, _ = quotient_extrema(grig, 2)
+        assert top == Fraction(8, 3)
+        assert argmax == 6
         assert Fraction(len(language(grig, 6)), 6) == Fraction(8, 3)
 
     def test_constant_two_bound(self, grig):
         for k in range(2, 7):
-            qe = quotient_extrema(grig, k)
-            assert qe.max_value == 3 - Fraction(1, 3)
+            assert quotient_extrema(grig, k)[0] == 3 - Fraction(1, 3)
 
     def test_bounds_hold_exactly(self, battery):
         for c in battery[:10]:
             size_ev = len(eventual_alphabet(c))
             k = stabilization_index(c) + 1
-            qe = quotient_extrema(c, k + 1)
-            assert qe.min_lower_bound > size_ev - 1
-            assert qe.max_value <= size_ev - Fraction(1, 3)
+            top, argmax, lower = quotient_extrema(c, k + 1)
+            assert lower > size_ev - 1
+            assert top <= size_ev - Fraction(1, 3)
             lo = block_length(c, k) + 2
             hi = block_length(c, k + 1) + 1
             quotients = [
                 Fraction(complexity_formula(c, L), L) for L in range(lo, hi + 1)
             ]
-            assert max(quotients) == qe.max_value
-            assert quotients[qe.argmax_length - lo] == qe.max_value
-            assert min(quotients) >= qe.min_lower_bound
+            assert max(quotients) == top
+            assert quotients[argmax - lo] == top
+            assert min(quotients) >= lower
 
     def test_sandwich(self, battery):
         for c in battery[:10]:

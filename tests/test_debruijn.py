@@ -6,6 +6,7 @@ from dataclasses import replace
 from conftest import periodic_codings
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import is_strongly_connected, palindrome_oracle, reflection_check
 
 from toeplitz.complexity import complexity_formula, growth_formula
 from toeplitz.debruijn import (
@@ -14,13 +15,9 @@ from toeplitz.debruijn import (
     _annotations,
     build_graph,
     contracted_arcs,
-    is_strongly_connected,
     palindrome_formula,
-    palindrome_oracle,
     palindrome_profile,
     predicted_arcs,
-    reflection_check,
-    reflection_fixed_points,
     right_special_report,
     to_dot,
 )
@@ -136,7 +133,7 @@ class TestReflection:
 
     def test_fixed_points_are_palindromic_vertices(self, grig):
         g = build_graph(grig, 3)
-        fixed = {render(grig, v) for v in reflection_fixed_points(g)}
+        fixed = {render(grig, v) for v in g.vertices if v == v[::-1]}
         assert fixed == {"axa", "xax", "aya", "aza"}
         assert len(fixed) == palindrome_formula(grig, 3)
 
@@ -177,7 +174,8 @@ class TestPalindromeComplexity:
         for c in battery[:8]:
             for L in (1, 2, 3, 4, 6, 9):
                 g = build_graph(c, L)
-                assert len(reflection_fixed_points(g)) == palindrome_formula(c, L)
+                fixed = [v for v in g.vertices if v == v[::-1]]
+                assert len(fixed) == palindrome_formula(c, L)
 
 
 class TestArcStructure:

@@ -4,16 +4,16 @@ import pytest
 from conftest import periodic_codings
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import palindrome_oracle, prefix_factor_set
 
 from toeplitz.coding import kappa, tail_alphabet
 from toeplitz.complexity import complexity_formula, profile
-from toeplitz.debruijn import palindrome_oracle, palindrome_profile
+from toeplitz.debruijn import palindrome_profile
 from toeplitz.errors import BudgetExceeded, WordNotInLanguage
 from toeplitz.language import (
     factor_counts,
     language,
     palindrome_counts,
-    prefix_factor_set,
     right_extensions,
 )
 from toeplitz.presets import l_grigorchuk

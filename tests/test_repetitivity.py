@@ -6,10 +6,11 @@ import pytest
 from conftest import periodic_codings, squaring_coding
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import m_sequence, prefix_factor_set
 
-from toeplitz.coding import kappa, m_sequence
+from toeplitz.coding import kappa
 from toeplitz.errors import OutOfTheoremRange
-from toeplitz.language import language, prefix_factor_set
+from toeplitz.language import language
 from toeplitz import repetitivity
 from toeplitz.presets import grigorchuk, l_grigorchuk
 from toeplitz.repetitivity import (

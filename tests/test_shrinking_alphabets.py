@@ -8,17 +8,13 @@ band dispatch.
 
 import pytest
 from conftest import SHRINKING
+from oracles import band_lengths, m_sequence, palindrome_oracle, reflection_check
 
+from toeplitz.coding import kappa, scaled_length
 from toeplitz.complexity import complexity_formula, growth_formula
-from toeplitz.debruijn import (
-    build_graph,
-    palindrome_formula,
-    palindrome_oracle,
-    reflection_check,
-    right_special_report,
-)
+from toeplitz.debruijn import build_graph, palindrome_formula, right_special_report
 from toeplitz.language import language
-from toeplitz.presets import parse_coding_spec
+from toeplitz.presets import l_grigorchuk, parse_coding_spec
 from toeplitz.repetitivity import repetitivity_formula, repetitivity_oracle
 from toeplitz.words import block_length
 
@@ -56,8 +52,6 @@ def test_debruijn_growth_decomposition(shrinking):
 
 
 def test_l_grigorchuk_power_periods_match_oracles():
-    from toeplitz.presets import l_grigorchuk
-
     c = l_grigorchuk(1, 3)
     for L in range(block_length(c, 2) + 2):
         assert complexity_formula(c, L) == len(language(c, L)), L
@@ -67,16 +61,9 @@ def test_l_grigorchuk_power_periods_match_oracles():
 
 def test_repetitivity_formula_matches_oracle(shrinking):
     c = shrinking
-    from toeplitz.coding import kappa, m_sequence, scaled_length
-
     if scaled_length(c, kappa(c, m_sequence(c, 2))) > 20000:
         pytest.skip("containment scan too large for a unit test")
     for i in (1, 2):
-        m, m_next = m_sequence(c, i), m_sequence(c, i + 1)
-        lo = block_length(c, m) - block_length(c, m - 1) + 1
-        hi = block_length(c, m_next) - block_length(c, m_next - 1)
-        probes = sorted({lo, block_length(c, m) + 1,
-                         min(block_length(c, m) + 2, hi), hi})
-        for L in probes:
+        for L in band_lengths(c, i):
             want = repetitivity_formula(c, L)
             assert repetitivity_oracle(c, L) == want, (i, L)

@@ -12,6 +12,7 @@ import pytest
 from conftest import make_battery, periodic_codings
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import cover_length, spectral_bounds
 
 from toeplitz import spectral
 from toeplitz.coding import Alphabet, Coding, CodingEntry, PeriodicTail, normalize
@@ -24,7 +25,6 @@ from toeplitz.spectral import (
     finite_section,
     finite_section_spectrum,
     lyapunov_over_grid,
-    spectral_bounds,
     step_matrix,
     transfer_cocycle,
 )
@@ -39,7 +39,7 @@ def grig_coeff(grig):
 
 @pytest.fixture(scope="module")
 def free_coeff(grig):
-    return CoefficientMap.constant(grig.alphabet)
+    return CoefficientMap(grig.alphabet, (1,) * 4, (0,) * 4)
 
 
 def one_energy_estimate(c, coeff, E, n):
@@ -269,17 +269,16 @@ class TestFiniteSections:
             assert max(approx.eigenvalues) <= hi + 1e-12
 
     def test_cover_merges_overlapping_intervals(self, grig, free_coeff):
-        approx = finite_section_spectrum(grig, free_coeff, 16)
-        cover = approx.cover(1.0)
-        assert len(cover) == 1  # wide delta glues everything
-        assert approx.cover_length(1.0) == pytest.approx(
-            cover[0][1] - cover[0][0]
-        )
+        ev = finite_section_spectrum(grig, free_coeff, 16).eigenvalues
+        # wide delta glues everything into one interval
+        assert cover_length(ev, 1.0) == pytest.approx(ev[-1] - ev[0] + 2.0)
+        assert cover_length((0.0, 0.5, 3.0), 0.5) == pytest.approx(2.5)
 
     def test_cover_trend(self, grig, grig_coeff):
         small = finite_section_spectrum(grig, grig_coeff, 256)
         large = finite_section_spectrum(grig, grig_coeff, 512)
-        assert large.cover_length(0.05) <= small.cover_length(0.05) + 0.1
+        assert cover_length(large.eigenvalues, 0.05) <= \
+            cover_length(small.eigenvalues, 0.05) + 0.1
 
 
 def dense_eigenvalues(diag, off) -> list[str]:
@@ -383,7 +382,7 @@ class TestDenseIdentity:
 class TestCoefficientMap:
     def test_zero_p_rejected(self, grig):
         with pytest.raises(ValueError):
-            CoefficientMap.constant(grig.alphabet, p=0)
+            CoefficientMap(grig.alphabet, (1, 0, 1, 1), (0,) * 4)
 
     def test_degenerate_map_warns(self, grig, free_coeff):
         with pytest.warns(UserWarning, match="identical"):

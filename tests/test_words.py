@@ -89,12 +89,12 @@ class TestWordPrefix:
         w = word_prefix(c, 64, budget=1 << 10)
         assert w == bytes([c.alphabet.by_name("x")]) * 64
 
-    def test_needs_no_tail_alphabet(self):
-        # a generator without a declared recurrent alphabet has no certified
-        # tail alphabets, but its blocks and prefixes are still exact
+    def test_needs_no_tail_alphabet(self, monkeypatch):
+        # blocks and prefixes of a generator tail never read its alphabet
+        monkeypatch.setattr("toeplitz.words.tail_alphabet", None)
         ab = Alphabet.from_names("xyz")
         entries = tuple(CodingEntry(j % 3, 2 + j % 2) for j in range(8))
-        c = Coding(ab, (), GeneratorTail("opaque", entries))
+        c = Coding(ab, (), GeneratorTail("opaque", entries, frozenset(range(3))))
         p5 = block(c, 5)
         for length in range(len(p5) + 1):
             assert word_prefix(c, length) == p5[:length]
