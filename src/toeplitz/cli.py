@@ -124,9 +124,12 @@ def _write_csv(path: Optional[str], header: str, lines) -> None:
     _write(path, "\n".join([header, *lines]) + "\n")
 
 
-def _formula_vs_oracle(args, header: str, rows, line) -> int:
-    """Write the table; report every row whose formula and oracle differ."""
-    _write_csv(args.csv, header, [line(r) for r in rows])
+def _formula_vs_oracle(args, header: str, rows) -> int:
+    """Write the table, each `words.Row` cut to the header's columns; report
+    every row whose formula and oracle differ."""
+    width = header.count(",") + 1
+    _write_csv(args.csv, header,
+               [",".join(map(_csv_cell, r[:width])) for r in rows])
     bad = [r for r in rows
            if None not in (r.formula, r.oracle) and r.oracle != r.formula]
     for r in bad:
@@ -139,18 +142,14 @@ def _cmd_complexity(c: Coding, args) -> int:
     from . import complexity
 
     rows = complexity.profile(c, args.max_len, args.check, args.budget)
-    return _formula_vs_oracle(
-        args, "L,formula,oracle,growth", rows,
-        lambda r: f"{r.length},{r.formula},{_csv_cell(r.oracle)},{r.growth}")
+    return _formula_vs_oracle(args, "L,formula,oracle,growth", rows)
 
 
 def _cmd_palindrome(c: Coding, args) -> int:
     from . import debruijn
 
     rows = debruijn.palindrome_profile(c, args.max_len, args.check, args.budget)
-    return _formula_vs_oracle(
-        args, "L,formula,oracle", rows,
-        lambda r: f"{r.length},{r.formula},{_csv_cell(r.oracle)}")
+    return _formula_vs_oracle(args, "L,formula,oracle", rows)
 
 
 def _graph_payload(graph) -> dict:
@@ -170,8 +169,8 @@ def _graph_payload(graph) -> dict:
             "u2": None if ann.u2 is None else render(ann.u2),
             "v2": None if ann.v2 is None else render(ann.v2),
             "right_special": [
-                {"vertex": render(rs.vertex), "out_degree": rs.out_degree}
-                for rs in right_special_report(graph)
+                {"vertex": render(v), "out_degree": degree}
+                for v, degree in right_special_report(graph).items()
             ],
         },
     }
@@ -222,8 +221,7 @@ def _cmd_repetitivity(c: Coding, args) -> int:
     if args.max_len:
         code = _formula_vs_oracle(
             args, "L,formula,oracle",
-            repetitivity.report(c, args.max_len, args.budget),
-            lambda r: f"{r.length},{_csv_cell(r.formula)},{r.oracle}")
+            repetitivity.report(c, args.max_len, args.budget))
     if args.alpha is not None:
         av = repetitivity.alpha_verdict(c, alpha, args.horizon)
         payload = _verdict_payload(av)
@@ -240,14 +238,15 @@ def _cmd_bosh(c: Coding, args) -> int:
     for flag, value in (("--eta", args.eta), ("--prefix", args.prefix)):
         if value is not None and value < 0:
             raise ValueError(f"{flag}: must be >= 0")
+    if (args.eta is None) != (args.prefix is None):
+        raise ValueError("--eta: requires --prefix M" if args.prefix is None
+                         else "--prefix: requires --eta L")
     bv = boshernitzan.bosh_verdict(c, args.horizon)
     payload = _verdict_payload(bv)
     payload["liminf_criterion"] = (
         None if bv.liminf_criterion is None else bv.liminf_criterion.value
     )
     if args.eta is not None:
-        if args.prefix is None:
-            raise ValueError("--eta: requires --prefix M")
         eta = boshernitzan.estimate_eta(c, args.eta, args.prefix, args.budget)
         payload["eta"] = {
             "L": eta.length,
@@ -255,8 +254,6 @@ def _cmd_bosh(c: Coding, args) -> int:
             "prefix": eta.prefix_length,
             "rarest": c.alphabet.render(eta.rarest or b""),
         }
-    elif args.prefix is not None:
-        raise ValueError("--prefix: requires --eta L")
     _emit_json(payload, args.out)
     return 0
 
@@ -293,6 +290,8 @@ def _cmd_spectrum(c: Coding, args) -> int:
 
     if args.lyapunov is not None and not args.energies:
         raise ValueError("--lyapunov: requires --energies lo:hi:steps")
+    if args.size is not None and args.energies:
+        raise ValueError("--size: not used with --energies")
     coeff = spectral.CoefficientMap.from_names(
         c.alphabet, q=_parse_coeff(c, args.q, "--q", 0.0),
         p=_parse_coeff(c, args.p, "--p", 1.0))
@@ -326,9 +325,10 @@ def _cmd_spectrum(c: Coding, args) -> int:
         _write_csv(args.csv, "E,lyapunov",
                    [f"{repr(e.energy)},{repr(e.value)}" for e in estimates])
         return 0
-    approx = spectral.finite_section_spectrum(c, coeff, args.size, args.budget)
+    size = 256 if args.size is None else args.size
+    eigenvalues = spectral.finite_section_spectrum(c, coeff, size, args.budget)
     _write_csv(args.csv, "j,eigenvalue",
-               [f"{j},{repr(ev)}" for j, ev in enumerate(approx.eigenvalues)])
+               [f"{j},{repr(ev)}" for j, ev in enumerate(eigenvalues)])
     return 0
 
 
@@ -398,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--q", default="const=0", help="diagonal map, e.g. a=0,x=1")
     p.add_argument("--p", default="const=1", help="off-diagonal map")
-    p.add_argument("--size", type=int, default=256)
+    p.add_argument("--size", type=int, default=None,
+                   help="finite-section size (default 256); not with --energies")
     p.add_argument("--energies", default=None, help="lo:hi:steps grid")
     p.add_argument("--lyapunov", type=int, default=None,
                    help="cocycle steps per energy")

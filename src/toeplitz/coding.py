@@ -21,7 +21,8 @@ repetitivity and Boshernitzan machinery: ``kappa(k)``, the first index by
 which every letter of the tail alphabet A_{k+1} has been seen again, and
 ``jumps``, one walk over the indices m_i where kappa strictly increases that
 hands out kappa(m_i) and kappa(m_i - 1) with them, so neither consumer calls
-``kappa`` itself.
+``kappa`` itself.  ``verdict_jumps`` takes the triples a verdict samples and,
+on a periodic tail, finds their cycle in the same walk.
 """
 
 from __future__ import annotations
@@ -274,8 +275,6 @@ def tail_alphabet(c: Coding, k: int) -> frozenset[int]:
 
 def eventual_alphabet(c: Coding) -> frozenset[int]:
     """A_ev: the letters occurring infinitely often in (a_k)."""
-    if isinstance(c.tail, PeriodicTail):
-        return frozenset(e.letter for e in c.tail.entries)
     return tail_alphabet(c, len(c.preperiod))
 
 
@@ -315,40 +314,32 @@ def jumps(c: Coding) -> Iterator[tuple[int, int, int]]:
             before = top
 
 
-def m_cycle(c: Coding) -> tuple[int, int]:
-    """(start, length) such that all (m_i)-indexed data repeats for i >= start.
-
-    Only periodic tails admit an exact cycle.  Once m_i lands past the
-    preperiod, everything derived from index m_i - 1 onward depends only on
-    (m_i - preperiod) mod tail length, so a repeated residue closes the cycle.
-    The cycle is found within 2 * (preperiod + tail length) steps.
-    """
-    if not c.is_exact:
-        raise ValueError("m-cycle detection requires a periodic tail")
-    pre_len = len(c.preperiod)
-    t = len(c.tail.entries)
-    seen: dict[int, int] = {}
-    for i, (m, _, _) in enumerate(jumps(c), start=1):
-        if m >= pre_len + 1:
-            res = (m - pre_len) % t
-            if res in seen:
-                return seen[res], i - seen[res]
-            seen[res] = i
-        if i + 1 > 4 * (pre_len + t) + 8:
-            raise AssertionError("m-cycle detector exceeded its guaranteed bound")
-
-
 def verdict_jumps(c: Coding, horizon: int
                   ) -> tuple[tuple[tuple[int, int, int], ...],
                              Union[tuple[int, int], None]]:
     """The first `size` triples of `jumps`, and the m-cycle (None if inexact).
 
-    size is `horizon` on generator tails and max(horizon, start + length)
-    on periodic ones, so an exact verdict sees at least one whole cycle.
+    Only periodic tails admit an exact cycle (start, length) such that all
+    (m_i)-indexed data repeats for i >= start.  Once m_i lands past the
+    preperiod, everything derived from index m_i - 1 onward depends only on
+    (m_i - preperiod) mod tail length, so a repeated residue closes the
+    cycle, within 2 * (preperiod + tail length) steps.  The same walk
+    collects the triples: size is `horizon` on generator tails and
+    max(horizon, start + length) on periodic ones, so an exact verdict sees
+    at least one whole cycle.
     """
-    cycle = m_cycle(c) if c.is_exact else None
-    size = horizon if cycle is None else max(horizon, sum(cycle))
-    return tuple(islice(jumps(c), size)), cycle
+    if not c.is_exact:
+        return tuple(islice(jumps(c), horizon)), None
+    pre_len, t = len(c.preperiod), len(c.tail.entries)
+    taken, seen, cycle = [], {}, None
+    for i, triple in enumerate(jumps(c), start=1):
+        taken.append(triple)
+        if cycle is None and triple[0] >= pre_len + 1:
+            start = seen.setdefault((triple[0] - pre_len) % t, i)
+            if start < i:
+                cycle = start, i - start
+        if cycle is not None and i >= horizon:
+            return tuple(taken), cycle
 
 
 def scaled_length(c: Coding, k: int) -> int:

@@ -23,12 +23,9 @@ exact (Python ints).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .coding import Coding
 from .language import factor_counts
-from .words import DEFAULT_BUDGET, Level, level, level_at
+from .words import DEFAULT_BUDGET, Level, Row, bands, level
 
 
 def band_complexity(lv: Level, length: int) -> int:
@@ -61,22 +58,9 @@ def growth_formula(c: Coding, length: int) -> int:
     return band_growth(level(c, length), length)
 
 
-@dataclass(frozen=True)
-class ComplexityRow:
-    length: int
-    formula: int
-    growth: int
-    oracle: Optional[int] = None
-
-
 def profile(c: Coding, max_length: int, with_oracle: bool = False,
-            budget: int = DEFAULT_BUDGET) -> list[ComplexityRow]:
-    """Per-L table of formula, growth and (optionally) oracle counts."""
+            budget: int = DEFAULT_BUDGET) -> list[Row]:
+    """Per-L table of formula, (optionally) oracle counts and growth."""
     counts = factor_counts(c, max_length, budget) if with_oracle else None
-    rows, lv = [], level_at(c, 0)
-    for L in range(max_length + 1):
-        if lv.p < L:
-            lv = level_at(c, lv.k + 1)
-        rows.append(ComplexityRow(L, band_complexity(lv, L), band_growth(lv, L),
-                                  None if counts is None else counts[L]))
-    return rows
+    return [Row(L, band_complexity(lv, L), None if counts is None else counts[L],
+                band_growth(lv, L)) for L, lv in bands(c, max_length)]

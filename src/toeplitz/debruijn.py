@@ -18,13 +18,7 @@ from typing import Optional
 
 from .coding import Alphabet, Coding, tail_alphabet
 from .language import language, palindrome_counts
-from .words import DEFAULT_BUDGET, Level, level, level_at, word_prefix
-
-
-@dataclass(frozen=True)
-class RightSpecial:
-    vertex: bytes
-    out_degree: int
+from .words import DEFAULT_BUDGET, Level, Row, bands, level, level_at, word_prefix
 
 
 @dataclass(frozen=True)
@@ -80,13 +74,11 @@ def build_graph(c: Coding, length: int,
                          _annotations(c, length))
 
 
-def right_special_report(graph: DeBruijnGraph) -> list[RightSpecial]:
-    """Vertices with at least two right extensions, in word order."""
-    return [
-        RightSpecial(v, len(nxt))
-        for v, nxt in sorted(graph.successors().items())
-        if len(nxt) >= 2
-    ]
+def right_special_report(graph: DeBruijnGraph) -> dict[bytes, int]:
+    """Out-degree of each vertex with at least two right extensions, in word
+    order."""
+    return {v: len(nxt) for v, nxt in sorted(graph.successors().items())
+            if len(nxt) >= 2}
 
 
 def band_palindromes(lv: Level, length: int) -> int:
@@ -105,24 +97,12 @@ def palindrome_formula(c: Coding, length: int) -> int:
     return band_palindromes(level(c, length), length)
 
 
-@dataclass(frozen=True)
-class PalindromeRow:
-    length: int
-    formula: int
-    oracle: Optional[int] = None
-
-
 def palindrome_profile(c: Coding, max_length: int, with_oracle: bool = False,
-                       budget: int = DEFAULT_BUDGET) -> list[PalindromeRow]:
+                       budget: int = DEFAULT_BUDGET) -> list[Row]:
     """Per-L palindrome counts by formula and (optionally) by the eertree."""
     counts = palindrome_counts(c, max_length, budget) if with_oracle else None
-    rows, lv = [], level_at(c, 0)
-    for L in range(1, max_length + 1):
-        if lv.p < L:
-            lv = level_at(c, lv.k + 1)
-        rows.append(PalindromeRow(L, band_palindromes(lv, L),
-                                  None if counts is None else counts[L]))
-    return rows
+    return [Row(L, band_palindromes(lv, L), None if counts is None else counts[L])
+            for L, lv in bands(c, max_length) if L]
 
 
 def contracted_arcs(graph: DeBruijnGraph
@@ -184,7 +164,7 @@ def to_dot(graph: DeBruijnGraph) -> str:
     """Graphviz rendering: right-special vertices doubled, reflection pairs ranked."""
     alphabet = graph.alphabet
     lines = ["digraph debruijn {", "  rankdir=LR;"]
-    special = {rs.vertex for rs in right_special_report(graph)}
+    special = right_special_report(graph)
     for v in graph.vertices:
         name = alphabet.render(v)
         shape = ' shape=doublecircle' if v in special else ""

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 from .coding import (
     Coding,
@@ -40,7 +40,7 @@ from .coding import (
 from .errors import OutOfTheoremRange
 from .language import enclosing_words
 from .verdicts import Status, Verdict, trend_of
-from .words import DEFAULT_BUDGET, block_length, level
+from .words import DEFAULT_BUDGET, Row, block_length, level
 
 
 def _bands(c: Coding) -> Iterator[tuple[int, int, int, int]]:
@@ -180,15 +180,8 @@ def alpha_verdict(c: Coding, alpha: Union[int, Fraction],
                         log_ratios=log_ratios, kappa_gaps=gaps)
 
 
-@dataclass(frozen=True)
-class RepetitivityRow:
-    length: int
-    formula: Optional[int]
-    oracle: int
-
-
 def report(c: Coding, max_length: int,
-           budget: int = DEFAULT_BUDGET) -> list[RepetitivityRow]:
+           budget: int = DEFAULT_BUDGET) -> list[Row]:
     """Per-L table of formula (where defined) and oracle values.
 
     One walk over the bands serves every length, as `complexity.profile`
@@ -203,5 +196,5 @@ def report(c: Coding, max_length: int,
             band, ahead = ahead, next(bands)
         formula = None if band is None else _band_value(band, length)
         window = _least_window(c, length, max(window, length + 1), budget)
-        rows.append(RepetitivityRow(length, formula, window))
+        rows.append(Row(length, formula, window))
     return rows

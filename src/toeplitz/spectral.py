@@ -73,12 +73,6 @@ class CoefficientMap:
         pv = tuple((p or {}).get(name, 1) for name in alphabet)
         return cls(alphabet, pv, qv)
 
-    def p(self, letter: int) -> Number:
-        return self.p_values[letter]
-
-    def q(self, letter: int) -> Number:
-        return self.q_values[letter]
-
     @property
     def degenerate(self) -> bool:
         """All letters share one (p, q) pair: the induced system is periodic."""
@@ -141,8 +135,8 @@ def step_matrix(coeff: CoefficientMap, E: Number, first: int,
 
     Its determinant is p(first)/p(second), exactly in rational mode.
     """
-    p1, p2 = coeff.p(first), coeff.p(second)
-    q1 = coeff.q(first)
+    p1, p2 = coeff.p_values[first], coeff.p_values[second]
+    q1 = coeff.q_values[first]
     return TransferMatrix(_div(E - q1, p2), _div(-p1, p2), 1, 0)
 
 
@@ -170,13 +164,6 @@ class LyapunovEstimate:
 
 
 RENORM_EVERY = 32
-
-
-@dataclass(frozen=True)
-class SpectrumApproximation:
-    """Sorted eigenvalues of the N x N finite section."""
-
-    eigenvalues: tuple[float, ...]
 
 
 def finite_section(c: Coding, coeff: CoefficientMap, size: int,
@@ -228,7 +215,7 @@ def _dsterf():
 
 
 def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
-                            budget: int = DEFAULT_BUDGET) -> SpectrumApproximation:
+                            budget: int = DEFAULT_BUDGET) -> tuple[float, ...]:
     """Eigenvalues of the finite section, sorted ascending.
 
     LAPACK's `dsterf` (root-free QL/QR), called through ctypes from the
@@ -264,7 +251,7 @@ def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
         import numpy as np
 
         matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        return SpectrumApproximation(tuple(np.linalg.eigvalsh(matrix).tolist()))
+        return tuple(np.linalg.eigvalsh(matrix).tolist())
 
     norm = max(map(abs, entries))
     sigma = 1.0
@@ -283,7 +270,7 @@ def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
         raise np.linalg.LinAlgError(
             f"dsterf did not converge (LAPACK info={info.value})")
     inverse = 1.0 / sigma
-    return SpectrumApproximation(tuple([v * inverse for v in d]))
+    return tuple([v * inverse for v in d])
 
 
 def energy_grid(lo: float, hi: float, steps: int) -> list[float]:
@@ -319,8 +306,8 @@ def lyapunov_over_grid(c: Coding, coeff: CoefficientMap,
     e_array = np.array(grid)
     steps = {}  # letter pair -> ((E - q1) / p2 over the grid, -p1 / p2)
     for first, second in set(zip(word[1:], word[2:])):
-        p1, p2 = float(coeff.p(first)), float(coeff.p(second))
-        steps[first, second] = (e_array - float(coeff.q(first))) / p2, -p1 / p2
+        p1, p2 = float(coeff.p_values[first]), float(coeff.p_values[second])
+        steps[first, second] = (e_array - float(coeff.q_values[first])) / p2, -p1 / p2
     ma, mb = np.ones_like(e_array), np.zeros_like(e_array)
     mc, md = np.zeros_like(e_array), np.ones_like(e_array)
     log_scale = [0.0] * len(grid)

@@ -10,13 +10,15 @@ pins down a unique one-sided infinite word; its factor set is the language
 of the subshift, so that word is the canonical representative here.  Words
 are bytes of letter indices (alphabets are capped at 255 letters).
 
-A `Level` holds the level-k constants that every closed formula reads, and
-`level` finds the one that governs a length.
+A `Level` holds the level-k constants that every closed formula reads,
+`level` finds the one that governs a length, and `bands` walks them for a
+per-length table of `Row` records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Optional
 
 from .coding import Coding, scaled_length, tail_alphabet
 from .errors import DEFAULT_BUDGET, BudgetExceeded, InvalidShift
@@ -51,7 +53,6 @@ class Level:
     p: int  # |p(k)|
     p1: int  # |p(k-1)|
     p2: int  # |p(k-2)|
-    n: int  # n_k
     a: int  # a_k
     size: int  # |A_k|
     size_next: int  # |A_{k+1}|
@@ -73,7 +74,7 @@ def level_at(c: Coding, k: int) -> Level:
         raise IndexError("level must be >= 0")
     here, nxt = tail_alphabet(c, k), tail_alphabet(c, k + 1)
     return Level(k, block_length(c, k), block_length(c, k - 1),
-                 block_length(c, max(k - 2, -1)), c.period(k), c.letter(k),
+                 block_length(c, max(k - 2, -1)), c.letter(k),
                  len(here), len(nxt), k > 0 and c.letter(k - 1) in here,
                  c.letter(k) in nxt)
 
@@ -89,6 +90,27 @@ def level(c: Coding, length: int) -> Level:
         k += 1
         scaled *= c.period(k)
     return level_at(c, k)
+
+
+def bands(c: Coding, max_length: int) -> Iterator[tuple[int, Level]]:
+    """(L, level(c, L)) for L = 0..max_length in one walk over the levels.
+
+    |p(k+1)| > |p(k)| + 1, so each length moves at most one level on.
+    """
+    lv = level_at(c, 0)
+    for L in range(max_length + 1):
+        if lv.p < L:
+            lv = level_at(c, lv.k + 1)
+        yield L, lv
+
+
+class Row(NamedTuple):
+    """One length of a formula-vs-oracle table, in its CSV column order."""
+
+    length: int
+    formula: Optional[int]
+    oracle: Optional[int]
+    growth: Optional[int] = None
 
 
 def word_prefix(c: Coding, length: int, budget: int = DEFAULT_BUDGET) -> bytes:

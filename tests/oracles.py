@@ -43,9 +43,9 @@ def quotient_extrema(c, k: int) -> tuple[Fraction, int, Fraction]:
     if k < (n_ev := stabilization_index(c)) + 1:
         raise ValueError(f"quotient extrema need k >= N_ev + 1 = {n_ev + 1}")
     lv = level_at(c, k)  # k > N_ev, so lv.size = |A_ev|
-    n_prev = c.period(k - 1)
+    n, n_prev = c.period(k), c.period(k - 1)
     max_value = lv.size - Fraction(n_prev - 1, 2 * n_prev - 1)
-    lower = min(lv.size - Fraction(lv.n - 1, lv.n),
+    lower = min(lv.size - Fraction(n - 1, n),
                 lv.size - Fraction(n_prev - 1, n_prev))
     return max_value, 2 * lv.p1 - lv.p2 + 1, lower
 

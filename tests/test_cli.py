@@ -283,11 +283,16 @@ class TestExitCodes:
         (("bosh", "--prefix", "100"), "--prefix:"),
         (("spectrum", "--lyapunov", "100"), "--lyapunov:"),
         (("repetitivity",), "--max-len:"),
+        # the pair is checked before a verdict past the generator's horizon
+        (("bosh", "--horizon", "400", "--eta", "2"), "--eta:"),
+        (("spectrum", "--energies", "0:1:2", "--lyapunov", "64", "--size", "5"),
+         "--size:"),
     ], ids=["complexity", "palindrome", "repetitivity", "alpha-horizon",
             "bosh-negative-horizon", "bosh-zero-horizon", "bosh-negative-prefix",
             "bosh-negative-eta", "zero-budget", "negative-budget",
             "bosh-eta-without-prefix", "bosh-prefix-without-eta",
-            "spectrum-lyapunov-without-energies", "repetitivity-without-table"])
+            "spectrum-lyapunov-without-energies", "repetitivity-without-table",
+            "bosh-eta-without-prefix-past-horizon", "spectrum-size-with-energies"])
     def test_out_of_range_counts_are_usage_errors(self, capsys, argv, flag):
         command, *rest = argv
         code, out, err = run(capsys, command, "--preset", "liuqu", *rest)

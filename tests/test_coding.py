@@ -15,10 +15,10 @@ from toeplitz.coding import (
     eventual_alphabet,
     jumps,
     kappa,
-    m_cycle,
     normalize,
     stabilization_index,
     tail_alphabet,
+    verdict_jumps,
 )
 from toeplitz.errors import AllLettersEqual, HorizonExceeded
 from toeplitz.presets import l_grigorchuk, parse_coding_spec
@@ -206,7 +206,7 @@ class TestMSequence:
 
     def test_cycle_detector_bound(self, battery):
         for c in battery:
-            start, period = m_cycle(c)
+            start, period = verdict_jumps(c, 0)[1]
             bound = 2 * (len(c.preperiod) + len(c.tail.entries))
             assert start + period <= bound
             # the detected cycle really repeats all m-derived data

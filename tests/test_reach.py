@@ -1,6 +1,6 @@
 """Every function, class and method in `src/toeplitz` is used by `src/`,
-unless it is public or a paper-formula entry point; test-only code belongs
-in `tests/oracles.py`."""
+unless it is public or a paper-formula entry point, and every record field
+is read there; test-only code belongs in `tests/oracles.py`."""
 
 import ast
 from collections import Counter
@@ -22,6 +22,15 @@ ENTRY_POINTS = {  # name -> why it stays although no other code in src/ uses it
     "transfer_cocycle": "the exact transfer-matrix cocycle",
 }
 
+UNREAD_FIELDS = {  # Class.field -> why it stays although src/ never reads it
+    "LyapunovEstimate.samples": "tests hold the n/4 and n/2 checkpoints to "
+                                "the exact cocycle",
+    "Row.growth": "the CSV writer reads every cell by position",
+}
+
+TREES = {path.name: ast.parse(path.read_text())
+         for path in Path(toeplitz.__file__).parent.glob("*.py")}
+
 
 def names_read(node: ast.AST) -> Counter:
     return Counter(n.id if isinstance(n, ast.Name) else n.attr
@@ -40,10 +49,8 @@ def definitions(tree: ast.Module):
 
 
 def test_every_definition_is_used_by_the_package():
-    trees = {path.name: ast.parse(path.read_text())
-             for path in Path(toeplitz.__file__).parent.glob("*.py")}
-    used = sum(map(names_read, trees.values()), Counter())
-    found = [(module, node) for module, tree in sorted(trees.items())
+    used = sum(map(names_read, TREES.values()), Counter())
+    found = [(module, node) for module, tree in sorted(TREES.items())
              for node in definitions(tree)]
     assert set(ENTRY_POINTS) <= {node.name for _, node in found}
     unused = [f"{module}:{node.lineno} {node.name}" for module, node in found
@@ -52,3 +59,23 @@ def test_every_definition_is_used_by_the_package():
               # a use inside its own body does not count
               and used[node.name] == names_read(node)[node.name]]
     assert unused == []
+
+
+def is_record(node: ast.ClassDef) -> bool:
+    """A `@dataclass` class or a `NamedTuple`."""
+    decorators = [d.func if isinstance(d, ast.Call) else d
+                  for d in node.decorator_list]
+    return any(isinstance(n, ast.Name) and n.id in ("dataclass", "NamedTuple")
+               for n in decorators + node.bases)
+
+
+def test_every_record_field_is_read_by_the_package():
+    read = {n.attr for tree in TREES.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    fields = [f"{node.name}.{field.target.id}"
+              for tree in TREES.values() for node in tree.body
+              if isinstance(node, ast.ClassDef) and is_record(node)
+              for field in node.body if isinstance(field, ast.AnnAssign)]
+    assert set(UNREAD_FIELDS) <= set(fields)
+    assert [f for f in fields if f not in UNREAD_FIELDS
+            and f.split(".")[1] not in read] == []

@@ -128,7 +128,7 @@ class TestLevel:
             assert lv.p == block_length(c, k)
             assert lv.p1 == block_length(c, k - 1)
             assert lv.p2 == (block_length(c, k - 2) if k >= 2 else 0)
-            assert (lv.n, lv.a) == (c.period(k), c.letter(k))
+            assert lv.a == c.letter(k)
             assert lv.size == len(tail_alphabet(c, k))
             assert lv.size_next == len(tail_alphabet(c, k + 1))
             assert lv.prev_in == (k >= 1 and c.letter(k - 1) in tail_alphabet(c, k))
