@@ -124,11 +124,13 @@ def _write_csv(path: Optional[str], header: str, lines) -> None:
     _write(path, "\n".join([header, *lines]) + "\n")
 
 
-def _formula_vs_oracle(args, header: str, rows) -> int:
-    """Write the table, each `words.Row` cut to the header's columns; report
-    every row whose formula and oracle differ."""
-    width = header.count(",") + 1
-    _write_csv(args.csv, header,
+def _formula_vs_oracle(args, rows, width: int = 3) -> int:
+    """Write the table, the first `width` fields of each `words.Row` under
+    their names (`length` as L); report every row whose formula and oracle
+    differ."""
+    from .words import Row
+
+    _write_csv(args.csv, ",".join(("L", *Row._fields[1:width])),
                [",".join(map(_csv_cell, r[:width])) for r in rows])
     bad = [r for r in rows
            if None not in (r.formula, r.oracle) and r.oracle != r.formula]
@@ -142,14 +144,14 @@ def _cmd_complexity(c: Coding, args) -> int:
     from . import complexity
 
     rows = complexity.profile(c, args.max_len, args.check, args.budget)
-    return _formula_vs_oracle(args, "L,formula,oracle,growth", rows)
+    return _formula_vs_oracle(args, rows, 4)
 
 
 def _cmd_palindrome(c: Coding, args) -> int:
     from . import debruijn
 
     rows = debruijn.palindrome_profile(c, args.max_len, args.check, args.budget)
-    return _formula_vs_oracle(args, "L,formula,oracle", rows)
+    return _formula_vs_oracle(args, rows)
 
 
 def _graph_payload(graph) -> dict:
@@ -220,8 +222,7 @@ def _cmd_repetitivity(c: Coding, args) -> int:
     code = 0
     if args.max_len:
         code = _formula_vs_oracle(
-            args, "L,formula,oracle",
-            repetitivity.report(c, args.max_len, args.budget))
+            args, repetitivity.report(c, args.max_len, args.budget))
     if args.alpha is not None:
         av = repetitivity.alpha_verdict(c, alpha, args.horizon)
         payload = _verdict_payload(av)

@@ -184,16 +184,16 @@ def report(c: Coding, max_length: int,
            budget: int = DEFAULT_BUDGET) -> list[Row]:
     """Per-L table of formula (where defined) and oracle values.
 
-    One walk over the bands serves every length, as `complexity.profile`
-    walks the levels; band starts strictly increase, so each length
+    One walk over the bands serves every length, as `words.bands` walks
+    the levels; band starts strictly increase, so each length
     moves at most one band on.  R never decreases, so each length's
     oracle scan starts at the window where the previous one ended.
     """
-    rows, bands, window = [], _bands(c), 2
-    band, ahead = None, next(bands)
+    rows, kappa_bands, window = [], _bands(c), 2
+    band, ahead = None, next(kappa_bands)
     for length in range(1, max_length + 1):
         if ahead[0] <= length:
-            band, ahead = ahead, next(bands)
+            band, ahead = ahead, next(kappa_bands)
         formula = None if band is None else _band_value(band, length)
         window = _least_window(c, length, max(window, length + 1), budget)
         rows.append(Row(length, formula, window))

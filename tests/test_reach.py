@@ -25,7 +25,8 @@ ENTRY_POINTS = {  # name -> why it stays although no other code in src/ uses it
 UNREAD_FIELDS = {  # Class.field -> why it stays although src/ never reads it
     "LyapunovEstimate.samples": "tests hold the n/4 and n/2 checkpoints to "
                                 "the exact cocycle",
-    "Row.growth": "the CSV writer reads every cell by position",
+    "Row.growth": "the CSV writer reads the cells by position, up to the "
+                  "width its command asks for",
 }
 
 TREES = {path.name: ast.parse(path.read_text())
@@ -77,5 +78,7 @@ def test_every_record_field_is_read_by_the_package():
               if isinstance(node, ast.ClassDef) and is_record(node)
               for field in node.body if isinstance(field, ast.AnnAssign)]
     assert set(UNREAD_FIELDS) <= set(fields)
+    # an allowlisted field that src/ starts reading leaves the list
+    assert {f.split(".")[1] for f in UNREAD_FIELDS} & read == set()
     assert [f for f in fields if f not in UNREAD_FIELDS
             and f.split(".")[1] not in read] == []
