@@ -8,7 +8,9 @@ spectra of the associated Jacobi operators.
 
 The public names below load their submodule on first access (PEP 562), so
 importing the package, or running one CLI subcommand, compiles only the
-modules that are used.
+modules that are used.  Records are immutable `typing.NamedTuple` classes;
+those that check their fields do so in `__new__`, on a thin subclass of the
+NamedTuple that holds the fields.
 """
 
 import importlib

@@ -22,9 +22,8 @@ prefix; the invariant measure is never represented.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coding import (
     Coding,
@@ -38,10 +37,15 @@ from .verdicts import Status, Verdict, trend_of
 from .words import DEFAULT_BUDGET, level, word_prefix
 
 
-@dataclass(frozen=True, kw_only=True)
-class BoshVerdict(Verdict):
-    """The (B) verdict on the witness products, one per jump index m_i."""
+class BoshVerdict(NamedTuple):
+    """The (B) verdict on the witness products, one per jump index m_i:
+    `Verdict`'s fields, then the liminf criterion."""
 
+    status: Status
+    kind: str
+    witness: tuple
+    period: Optional[tuple[int, int]]
+    trend: Optional[str]
     liminf_criterion: Optional[Status]  # only for |A_ev| = 3
 
 
@@ -78,11 +82,10 @@ def bosh_verdict(c: Coding, horizon: int = 12) -> BoshVerdict:
         period_product(c, m + 1, before) for m, _, before in jumps), cycle)
     liminf = _bounded_evidence(tuple(c.period(m + 1) for m, _, _ in jumps),
                                cycle).status if ev3 else None
-    return BoshVerdict(**vars(verdict), liminf_criterion=liminf)
+    return BoshVerdict(*verdict, liminf)
 
 
-@dataclass(frozen=True)
-class EtaEstimate:
+class EtaEstimate(NamedTuple):
     """Empirical minimum cylinder frequency at word length L."""
 
     length: int

@@ -28,26 +28,33 @@ on a periodic tail, finds their cycle in the same walk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count, islice
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .errors import AllLettersEqual, EmptyCoding, HorizonExceeded
 
 MAX_ALPHABET = 255
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Letter names; a letter is its index here and its byte value in words."""
-
+class _AlphabetFields(NamedTuple):
     names: tuple[str, ...]
 
-    def __post_init__(self):
-        if not 0 < len(self.names) <= MAX_ALPHABET:
+
+class Alphabet(_AlphabetFields):
+    """Letter names; a letter is its index here and its byte value in words."""
+
+    __slots__ = ()
+
+    def __new__(cls, names: tuple[str, ...]) -> "Alphabet":
+        if not 0 < len(names) <= MAX_ALPHABET:
             raise ValueError(f"alphabet size must be in 1..{MAX_ALPHABET}")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("letter names must be unique")
+        return super().__new__(cls, names)
+
+    def __getnewargs__(self) -> tuple[tuple[str, ...]]:
+        # pickle and copy rebuild from this; iterating self yields the names
+        return (self.names,)
 
     @classmethod
     def from_names(cls, names) -> "Alphabet":
@@ -76,29 +83,42 @@ class Alphabet:
         return " ".join(names)
 
 
-@dataclass(frozen=True)
-class CodingEntry:
-    """One step of the coding: insert letter a_k with period n_k."""
-
+class _CodingEntryFields(NamedTuple):
     letter: int
     period: int
 
-    def __post_init__(self):
-        if self.period < 2:
-            raise ValueError(f"period must be >= 2, got {self.period}")
+
+class CodingEntry(_CodingEntryFields):
+    """One step of the coding: insert letter a_k with period n_k."""
+
+    __slots__ = ()
+
+    def __new__(cls, letter: int, period: int) -> "CodingEntry":
+        if period < 2:
+            raise ValueError(f"period must be >= 2, got {period}")
+        return super().__new__(cls, letter, period)
 
 
-@dataclass(frozen=True)
-class PeriodicTail:
+class _PeriodicTailFields(NamedTuple):
     entries: tuple[CodingEntry, ...]
 
-    def __post_init__(self):
-        if not self.entries:
+
+class PeriodicTail(_PeriodicTailFields):
+    __slots__ = ()
+
+    def __new__(cls, entries: tuple[CodingEntry, ...]) -> "PeriodicTail":
+        if not entries:
             raise EmptyCoding("periodic tail needs at least one entry")
+        return super().__new__(cls, entries)
 
 
-@dataclass(frozen=True)
-class GeneratorTail:
+class _GeneratorTailFields(NamedTuple):
+    name: str
+    entries: tuple[CodingEntry, ...]
+    recurrent: frozenset[int]
+
+
+class GeneratorTail(_GeneratorTailFields):
     """Finite materialized stretch of a named generator rule.
 
     ``recurrent`` is the set of letter ids the rule promises to emit
@@ -107,18 +127,18 @@ class GeneratorTail:
     scan could certify them.
     """
 
-    name: str
-    entries: tuple[CodingEntry, ...]
-    recurrent: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.entries:
+    def __new__(cls, name: str, entries: tuple[CodingEntry, ...],
+                recurrent: frozenset[int]) -> "GeneratorTail":
+        if not entries:
             raise EmptyCoding("generator tail materialized no entries")
-        if any(e.letter not in self.recurrent for e in self.entries):
+        if any(e.letter not in recurrent for e in entries):
             raise ValueError(
-                f"generator '{self.name}' emitted letters outside its "
+                f"generator '{name}' emitted letters outside its "
                 "declared recurrent alphabet"
             )
+        return super().__new__(cls, name, entries, recurrent)
 
     @property
     def horizon(self) -> int:
@@ -128,18 +148,23 @@ class GeneratorTail:
 Tail = Union[PeriodicTail, GeneratorTail]
 
 
-@dataclass(frozen=True)
-class Coding:
-    """The pair of sequences (a_k), (n_k), split into preperiod and tail."""
-
+class _CodingFields(NamedTuple):
     alphabet: Alphabet
     preperiod: tuple[CodingEntry, ...]
     tail: Tail
 
-    def __post_init__(self):
-        for e in self.preperiod + self.tail.entries:
-            if not 0 <= e.letter < len(self.alphabet):
+
+class Coding(_CodingFields):
+    """The pair of sequences (a_k), (n_k), split into preperiod and tail."""
+
+    __slots__ = ()
+
+    def __new__(cls, alphabet: Alphabet, preperiod: tuple[CodingEntry, ...],
+                tail: Tail) -> "Coding":
+        for e in preperiod + tail.entries:
+            if not 0 <= e.letter < len(alphabet):
                 raise ValueError(f"letter {e.letter} not in alphabet")
+        return super().__new__(cls, alphabet, preperiod, tail)
 
     @property
     def is_exact(self) -> bool:
@@ -326,10 +351,19 @@ def verdict_jumps(c: Coding, horizon: int
     cycle, within 2 * (preperiod + tail length) steps.  The same walk
     collects the triples: size is `horizon` on generator tails and
     max(horizon, start + length) on periodic ones, so an exact verdict sees
-    at least one whole cycle.
+    at least one whole cycle.  A generator tail with fewer than `horizon`
+    jumps in its materialized entries raises HorizonExceeded naming both.
     """
     if not c.is_exact:
-        return tuple(islice(jumps(c), horizon)), None
+        taken = []
+        try:
+            for triple in islice(jumps(c), horizon):
+                taken.append(triple)
+        except HorizonExceeded:
+            raise HorizonExceeded(
+                f"horizon {horizon} exceeds the {len(taken)} kappa jumps in "
+                f"the generator's {c.horizon} materialized entries") from None
+        return tuple(taken), None
     pre_len, t = len(c.preperiod), len(c.tail.entries)
     taken, seen, cycle = [], {}, None
     for i, triple in enumerate(jumps(c), start=1):
@@ -355,5 +389,13 @@ def period_product(c: Coding, lo: int, hi: int) -> int:
 
 
 def log_scaled_length(c: Coding, k: int) -> float:
-    """log(n_0 * ... * n_k), stable even when the product is astronomically big."""
-    return sum(math.log(c.period(j)) for j in range(k + 1))
+    """log(n_0 * ... * n_k), stable even when the product is astronomically big.
+
+    The logs are added left to right in plain floats, the same bits on every
+    Python: `sum` compensates its rounding from 3.12 on, which would change
+    the printed log ratios.
+    """
+    total = 0.0
+    for j in range(k + 1):
+        total += math.log(c.period(j))
+    return total

@@ -13,16 +13,14 @@ palindromes, which yields a closed palindrome-count formula that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coding import Alphabet, Coding, tail_alphabet
 from .language import language, palindrome_counts
 from .words import DEFAULT_BUDGET, Level, Row, bands, level, level_at, word_prefix
 
 
-@dataclass(frozen=True)
-class GraphAnnotations:
+class GraphAnnotations(NamedTuple):
     """Designated vertices from the structural description of the graph."""
 
     level: int
@@ -32,8 +30,7 @@ class GraphAnnotations:
     v2: Optional[bytes]
 
 
-@dataclass(frozen=True)
-class DeBruijnGraph:
+class DeBruijnGraph(NamedTuple):
     alphabet: Alphabet
     length: int
     vertices: tuple[bytes, ...]

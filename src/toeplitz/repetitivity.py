@@ -20,15 +20,14 @@ Both sides read the jump triples (m_i, kappa(m_i), kappa(m_i - 1)) of
 A subshift is alpha-repetitive when 0 < limsup_i (n_0...n_{kappa(m_i)-1}) /
 (n_0...n_{m_i})^alpha < infinity; alpha = 1 (linear repetitivity) reduces to
 boundedness of prod_{j=m_i+1}^{kappa(m_i)-1} n_j.  `alpha_verdict` returns
-one `Verdict` record whose witness is that product sequence, so its verdict
-at alpha = 1 is the linear-repetitivity verdict.
+one `AlphaVerdict` record whose witness is that product sequence, so its
+verdict at alpha = 1 is the linear-repetitivity verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .coding import (
     Coding,
@@ -39,7 +38,7 @@ from .coding import (
 )
 from .errors import OutOfTheoremRange
 from .language import enclosing_words
-from .verdicts import Status, Verdict, trend_of
+from .verdicts import Status, trend_of
 from .words import DEFAULT_BUDGET, Row, block_length, level
 
 
@@ -129,18 +128,22 @@ def repetitivity_oracle(c: Coding, length: int,
     return _least_window(c, length, length + 1, budget)
 
 
-@dataclass(frozen=True, kw_only=True)
-class AlphaVerdict(Verdict):
+class AlphaVerdict(NamedTuple):
     """Alpha-repetitivity decision with its sampled witness sequences.
 
-    `witness` holds the linear-repetitivity witnesses
-    prod_{j=m_i+1}^{kappa(m_i)-1} n_j, so the verdict at alpha = 1 is the
-    linear-repetitivity verdict.  `log_ratios` are
+    The first five fields are `verdicts.Verdict`'s.  `witness` holds the
+    linear-repetitivity witnesses prod_{j=m_i+1}^{kappa(m_i)-1} n_j, so the
+    verdict at alpha = 1 is the linear-repetitivity verdict.  `log_ratios` are
     log(n_0...n_{kappa(m_i)-1}) / log(n_0...n_{m_i}): the exponent alpha at
     which the criterion ratio would be constant; their trend is the `trend`
     of a horizon estimate.  `kappa_gaps` are kappa(m_i) - m_i.
     """
 
+    status: Status
+    kind: str
+    witness: tuple
+    period: Optional[tuple[int, int]]
+    trend: Optional[str]
     alpha: Fraction
     log_ratios: tuple[float, ...]
     kappa_gaps: tuple[int, ...]

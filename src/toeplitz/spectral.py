@@ -39,10 +39,9 @@ import importlib.util
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .coding import Alphabet, Coding
 from .errors import BudgetExceeded
@@ -51,20 +50,24 @@ from .words import DEFAULT_BUDGET, word_prefix
 Number = Union[int, float, Fraction]
 
 
-@dataclass(frozen=True)
-class CoefficientMap:
-    """Letter-indexed Jacobi coefficients: off-diagonal p, diagonal q."""
-
+class _CoefficientMapFields(NamedTuple):
     alphabet: Alphabet
     p_values: tuple[Number, ...]
     q_values: tuple[Number, ...]
 
-    def __post_init__(self):
-        if len(self.p_values) != len(self.alphabet) or \
-                len(self.q_values) != len(self.alphabet):
+
+class CoefficientMap(_CoefficientMapFields):
+    """Letter-indexed Jacobi coefficients: off-diagonal p, diagonal q."""
+
+    __slots__ = ()
+
+    def __new__(cls, alphabet: Alphabet, p_values: tuple[Number, ...],
+                q_values: tuple[Number, ...]) -> "CoefficientMap":
+        if len(p_values) != len(alphabet) or len(q_values) != len(alphabet):
             raise ValueError("need one (p, q) pair per letter")
-        if any(v == 0 for v in self.p_values):
+        if any(v == 0 for v in p_values):
             raise ValueError("off-diagonal values p must be nonzero")
+        return super().__new__(cls, alphabet, p_values, q_values)
 
     @classmethod
     def from_names(cls, alphabet: Alphabet, q: dict, p: Optional[dict] = None
@@ -89,8 +92,7 @@ def _warn_if_degenerate(coeff: CoefficientMap) -> None:
         )
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(NamedTuple):
     """2x2 real matrix; entries may be exact Fractions or floats."""
 
     a: Number
@@ -156,8 +158,7 @@ def transfer_cocycle(c: Coding, coeff: CoefficientMap, E: Number, n: int,
     return out
 
 
-@dataclass(frozen=True)
-class LyapunovEstimate:
+class LyapunovEstimate(NamedTuple):
     energy: float
     value: float
     samples: tuple[tuple[int, float], ...]  # (n, estimate) at n/4, n/2, n

@@ -4,15 +4,15 @@ Periodic-tail codings admit exact verdicts: every witness sequence indexed
 by the kappa-jump positions is eventually periodic, so limsups reduce to a
 maximum over one detected cycle.  Generator-backed codings only ever earn
 horizon-qualified verdicts; asymptotic claims are never made from a finite
-scan.  `Verdict` is the one record: the (B) and alpha-repetitivity verdicts
-subclass it with their extra witnesses.
+scan.  `Verdict` holds the five fields every verdict has.  The (B) and
+alpha-repetitivity records are flat NamedTuples that repeat those five, in
+the same order, before their extra witnesses, so `*verdict` starts either.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class Status(enum.Enum):
@@ -37,8 +37,7 @@ def trend_of(values) -> str:
     return "mixed"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Three-valued decision with its numeric witness sequence."""
 
     status: Status

@@ -17,7 +17,6 @@ per-length table of `Row` records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .coding import Coding, scaled_length, tail_alphabet
@@ -41,8 +40,7 @@ def block_length(c: Coding, k: int) -> int:
     return scaled_length(c, k) - 1
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(NamedTuple):
     """The constants of the band |p(k-1)| + 1 <= L <= |p(k)|.
 
     Block lengths below level 0 are 0.  Every formula reads the band's two
@@ -135,16 +133,20 @@ def word_prefix(c: Coding, length: int, budget: int = DEFAULT_BUDGET) -> bytes:
     return prefix[:length]
 
 
-@dataclass(frozen=True)
-class UndeterminedPart:
-    """Residue class modulus*Z + offset of the holes of an approximant."""
-
+class _UndeterminedPartFields(NamedTuple):
     modulus: int
     offset: int
 
-    def __post_init__(self):
-        if not 0 <= self.offset < self.modulus:
+
+class UndeterminedPart(_UndeterminedPartFields):
+    """Residue class modulus*Z + offset of the holes of an approximant."""
+
+    __slots__ = ()
+
+    def __new__(cls, modulus: int, offset: int) -> "UndeterminedPart":
+        if not 0 <= offset < modulus:
             raise ValueError("offset must lie in [0, modulus)")
+        return super().__new__(cls, modulus, offset)
 
     def __contains__(self, position: int) -> bool:
         return position % self.modulus == self.offset

@@ -197,6 +197,18 @@ class TestExitCodes:
                            "--max-len", "64")
         assert code == 3 and "horizon" in err.lower()
 
+    @pytest.mark.parametrize("argv", [
+        ("bosh", "--preset", "liuqu", "--horizon", "30"),
+        ("repetitivity", "--preset", "liuqu", "--alpha", "1",
+         "--horizon", "30"),
+    ], ids=["bosh", "repetitivity-alpha"])
+    def test_verdict_horizon_past_the_jumps_is_three(self, capsys, argv):
+        # liuqu's 512 materialized entries hold 19 kappa jumps
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert "horizon 30 exceeds the 19 kappa jumps" in err
+        assert "512 materialized entries" in err
+
     def test_zero_jobs_is_usage_error(self, capsys):
         code, out, err = run(capsys, "gen", "--preset", "grigorchuk",
                              "--length", "4", "--jobs", "0")
@@ -517,6 +529,8 @@ class TestImports:
         argv, own = IMPORTS[label]
         if label == "spectrum-size" and spectral._dsterf() is None:
             own += " numpy"  # the dense fallback, where no `dsterf` is bundled
+        if "numpy" in own.split():
+            own += " inspect"  # numpy's own start-up imports it
         proc = run_fresh(
             "import json, runpy, sys\n"
             "sys.argv[0] = 'toeplitz'\n"
@@ -525,11 +539,13 @@ class TestImports:
             "except SystemExit as exc:\n"
             "    code = exc.code\n"
             "print(json.dumps([code, sorted(m for m in sys.modules\n"
-            "    if m in ('numpy', 'scipy') or m.split('.')[0] == 'toeplitz')]),\n"
+            "    if m in ('numpy', 'scipy', 'dataclasses', 'inspect')\n"
+            "    or m.split('.')[0] == 'toeplitz')]),\n"
             "    file=sys.stderr)\n",
             *argv)
         code, loaded = json.loads(proc.stderr.splitlines()[-1])
         assert code == 0, proc.stderr
         base = ["toeplitz", "cli", "errors", "presets", "coding"]
-        assert loaded == sorted(m if m in ("toeplitz", "numpy") else f"toeplitz.{m}"
-                                for m in [*base, *own.split()])
+        assert loaded == sorted(
+            m if m in ("toeplitz", "numpy", "inspect") else f"toeplitz.{m}"
+            for m in [*base, *own.split()])

@@ -1,11 +1,16 @@
 """Coding construction, normalization, tail alphabets, kappa and (m_i)."""
 
-from itertools import islice
+import copy
+import math
+import pickle
+from fractions import Fraction
+from itertools import accumulate, islice
 
 import pytest
 from conftest import SHRINKING, squaring_coding
 from oracles import m_sequence
 
+from toeplitz.boshernitzan import bosh_verdict
 from toeplitz.coding import (
     Alphabet,
     Coding,
@@ -15,14 +20,18 @@ from toeplitz.coding import (
     eventual_alphabet,
     jumps,
     kappa,
+    log_scaled_length,
     normalize,
     stabilization_index,
     tail_alphabet,
     verdict_jumps,
 )
-from toeplitz.errors import AllLettersEqual, HorizonExceeded
-from toeplitz.presets import l_grigorchuk, parse_coding_spec
-from toeplitz.words import word_prefix
+from toeplitz.errors import AllLettersEqual, EmptyCoding, HorizonExceeded
+from toeplitz.presets import grigorchuk, l_grigorchuk, liuqu, parse_coding_spec
+from toeplitz.repetitivity import alpha_verdict
+from toeplitz.spectral import CoefficientMap, TransferMatrix
+from toeplitz.verdicts import Status, Verdict
+from toeplitz.words import UndeterminedPart, level, word_prefix
 
 
 def entries(alphabet, spec):
@@ -204,6 +213,12 @@ class TestMSequence:
                     j -= 1
                 assert m_sequence(c, i + 1) == j
 
+    def test_log_scaled_length_adds_left_to_right(self, liu_qu):
+        # the same bits on every Python; `sum` compensates from 3.12 on
+        logs = [math.log(liu_qu.period(j)) for j in range(64)]
+        assert [log_scaled_length(liu_qu, k) for k in range(64)] == \
+            list(accumulate(logs))
+
     def test_cycle_detector_bound(self, battery):
         for c in battery:
             start, period = verdict_jumps(c, 0)[1]
@@ -240,6 +255,59 @@ class TestValidation:
         with pytest.raises(ValueError, match="not in alphabet"):
             Coding(ab, tuple(CodingEntry(l, 2) for l in pre),
                    PeriodicTail(tuple(CodingEntry(l, 2) for l in tail)))
+
+    @pytest.mark.parametrize("record, args, error, message", [
+        (CodingEntry, (0, 1), ValueError, "period must be >= 2"),
+        (PeriodicTail, ((),), EmptyCoding, "at least one entry"),
+        (GeneratorTail, ("none", (), frozenset({0, 1})), EmptyCoding,
+         "no entries"),
+        (UndeterminedPart, (4, 4), ValueError, "offset must lie"),
+        (UndeterminedPart, (4, -1), ValueError, "offset must lie"),
+        (CoefficientMap, (Alphabet.from_names("xy"), (1,), (0, 0)),
+         ValueError, r"one \(p, q\) pair"),
+        (CoefficientMap, (Alphabet.from_names("xy"), (1, 1), (0, 0, 0)),
+         ValueError, r"one \(p, q\) pair"),
+    ], ids=["period-one", "empty-periodic-tail", "empty-generator-tail",
+            "offset-at-modulus", "negative-offset", "short-p", "long-q"])
+    def test_constructor_checks(self, record, args, error, message):
+        with pytest.raises(error, match=message):
+            record(*args)
+
+
+RECORDS = {  # label -> (build, a field to assign)
+    "grigorchuk": (grigorchuk, "tail"),
+    "liuqu": (liuqu, "alphabet"),
+    "level": (lambda: level(grigorchuk(), 10), "p"),
+    "verdict": (lambda: Verdict(Status.SATISFIED, "exact", (2, 2), (1, 1)),
+                "status"),
+    "bosh-verdict": (lambda: bosh_verdict(liuqu()), "liminf_criterion"),
+    "alpha-verdict": (lambda: alpha_verdict(liuqu(), Fraction(3, 2)), "alpha"),
+    "coefficient-map": (lambda: CoefficientMap.from_names(
+        grigorchuk().alphabet,
+        q={"a": Fraction(1, 2), "x": 0, "y": 1, "z": -1}), "q_values"),
+    "transfer-matrix": (lambda: TransferMatrix(Fraction(1, 3), -1, 1, 0.5),
+                        "d"),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("label", RECORDS)
+    def test_pickle_and_deepcopy_round_trip(self, label):
+        record = RECORDS[label][0]()
+        for back in pickle.loads(pickle.dumps(record)), copy.deepcopy(record):
+            # repr names the class of every nested record too
+            assert back == record and repr(back) == repr(record)
+
+    @pytest.mark.parametrize("label", RECORDS)
+    def test_immutable(self, label):
+        build, field = RECORDS[label]
+        record = build()
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, object())
+        with pytest.raises(AttributeError):
+            record.extra = None
+        assert getattr(record, field) is before
 
 
 def named_entries(c):
