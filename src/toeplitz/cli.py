@@ -7,9 +7,9 @@ the worker-count flag is accepted for compatibility and has no effect.
 Each handler imports the modules it runs, so a subcommand loads only its own
 layers: `presets` loads `cli`, `errors`, `presets` and `coding`, and only
 `spectrum` imports `toeplitz.spectral`.  Of the `spectrum` runs, only
-`--energies` imports numpy, and `--size` too where numpy's wheel bundles no
-LAPACK `dsterf`.  Every record is a `typing.NamedTuple`, so no subcommand
-imports `inspect` (numpy's own start-up does).
+`--size` imports numpy, and only where numpy's wheel bundles no LAPACK
+`dsterf`.  Every record is a `typing.NamedTuple`, so no subcommand imports
+`inspect` (numpy's own start-up does).
 """
 
 from __future__ import annotations

@@ -56,6 +56,13 @@ class Alphabet(_AlphabetFields):
         # pickle and copy rebuild from this; iterating self yields the names
         return (self.names,)
 
+    # the inherited helpers iterate self too
+    def _asdict(self) -> dict[str, tuple[str, ...]]:
+        return {"names": self.names}
+
+    def _replace(self, **fields) -> "Alphabet":
+        return type(self)(**{"names": self.names, **fields})
+
     @classmethod
     def from_names(cls, names) -> "Alphabet":
         return cls(tuple(names))

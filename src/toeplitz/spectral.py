@@ -15,9 +15,9 @@ whose ordered products form the cocycle; the factor at position k reads
 the letters at k+1 and k+2.  Two walks compute those products:
 `transfer_cocycle` multiplies `TransferMatrix` values, exactly when the
 coefficients and E are Fractions, and `lyapunov_over_grid` carries float
-products for a whole energy grid at once and turns them into Lyapunov
-estimates (one energy is a one-element grid).  The tests hold the float
-walk to the exact one.
+products for a whole energy grid at once, as lists of Python floats, and
+turns them into Lyapunov estimates (one energy is a one-element grid).  The
+tests hold the float walk to the exact one.
 
 Finite sections are truncations to positions 0..N-1 of the one-sided
 representative word with zero boundary conditions: real symmetric
@@ -25,10 +25,10 @@ tridiagonal matrices whose spectra approximate the operator spectrum.
 They stay as a diagonal and an off-diagonal of Python floats; LAPACK's
 tridiagonal `dsterf`, called through ctypes from the OpenBLAS bundled in
 numpy's wheel, takes their eigenvalues in O(N^2) time and O(N) memory, the
-same floats a dense solver gives, without importing numpy.  Only the
-Lyapunov walk imports numpy, and so do sections where numpy bundles no
-such library: numpy's dense `eigvalsh` takes their eigenvalues instead.
-Cantor structure or measure-zero claims are never asserted here.
+same floats a dense solver gives, without importing numpy.  Only sections
+where numpy bundles no such library import numpy: its dense `eigvalsh`
+takes their eigenvalues instead.  Cantor structure or measure-zero claims
+are never asserted here.
 """
 
 from __future__ import annotations
@@ -230,7 +230,8 @@ def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
     into 0.0, hence `+ 0.0`.  Each step is one IEEE operation per entry on
     Python floats, the one numpy does, so numpy is not imported.  Where
     numpy's wheel carries no such library, numpy's dense `eigvalsh` of the
-    assembled matrix runs instead.
+    assembled matrix runs instead, and where numpy is not installed either,
+    ValueError says so.
 
     A size-N section still counts N * N entries against `budget`, as the
     dense solver did, so `--budget` stops the same sizes.  Infinite or NaN
@@ -249,7 +250,12 @@ def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
         raise ValueError("array must not contain infs or NaNs")
     dsterf = _dsterf()
     if dsterf is None:
-        import numpy as np
+        try:
+            import numpy as np
+        except ImportError:
+            raise ValueError("finite sections need numpy: neither its "
+                             "bundled LAPACK dsterf nor numpy was found"
+                             ) from None
 
         matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         return tuple(np.linalg.eigvalsh(matrix).tolist())
@@ -285,17 +291,19 @@ def lyapunov_over_grid(c: Coding, coeff: CoefficientMap,
                        budget: int = DEFAULT_BUDGET) -> list[LyapunovEstimate]:
     """(1/k) log ||cocycle(k)|| at k = n/4, n/2, n for every energy, in one walk.
 
-    The running products' four entries are numpy arrays indexed by energy,
-    rescaled by their largest entry every RENORM_EVERY steps with the log
-    (`math.log`, as np.log may differ from libm in the last ulp) kept apart,
-    so n ~ 2^16 stays inside float range.  Every step matrix has bottom row
-    (1, 0), so a step computes the new top row and shifts the old one down.
-    Every operation is elementwise, so an energy's result does not depend
-    on the rest of the grid.  A value that is not finite, because an entry
-    or a checkpoint norm overflowed a float, raises OverflowError.
-    """
-    import numpy as np
+    The running products' four entries are lists of Python floats indexed
+    by energy, rescaled by their largest entry every RENORM_EVERY steps with
+    the log kept apart, so n ~ 2^16 stays inside float range.  Every step
+    matrix has bottom row (1, 0), so a step computes the new top row, one
+    list comprehension per column, and shifts the old one down.  Every
+    operation is per energy, so an energy's result does not depend on the
+    rest of the grid.  A value that is not finite, because an entry or a
+    checkpoint norm overflowed a float, raises OverflowError.
 
+    A launch at n = 4096 on a shared 2-core host was faster than with
+    numpy's import and a numpy walk up to about 130-150 energies (README),
+    and slower above.
+    """
     if n < 1:
         raise IndexError("lyapunov estimates need n >= 1")
     _warn_if_degenerate(coeff)
@@ -304,34 +312,33 @@ def lyapunov_over_grid(c: Coding, coeff: CoefficientMap,
         return []
     word = word_prefix(c, n + 2, budget)
     checkpoints = sorted({max(1, n // 4), max(1, n // 2), n})
-    e_array = np.array(grid)
     steps = {}  # letter pair -> ((E - q1) / p2 over the grid, -p1 / p2)
     for first, second in set(zip(word[1:], word[2:])):
         p1, p2 = float(coeff.p_values[first]), float(coeff.p_values[second])
-        steps[first, second] = (e_array - float(coeff.q_values[first])) / p2, -p1 / p2
-    ma, mb = np.ones_like(e_array), np.zeros_like(e_array)
-    mc, md = np.zeros_like(e_array), np.ones_like(e_array)
+        q1 = float(coeff.q_values[first])
+        steps[first, second] = [(E - q1) / p2 for E in grid], -p1 / p2
+    ma, mb = [1.0] * len(grid), [0.0] * len(grid)
+    mc, md = [0.0] * len(grid), [1.0] * len(grid)
     log_scale = [0.0] * len(grid)
     samples: list[list[tuple[int, float]]] = [[] for _ in grid]
     # overflow shows up as a value that is not finite, checked at the end
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            sa, sb = steps[word[k + 1], word[k + 2]]
-            ma, mb, mc, md = sa * ma + sb * mc, sa * mb + sb * md, ma, mb
-            if (k + 1) % RENORM_EVERY == 0:
-                scale = np.max(np.abs([ma, mb, mc, md]), axis=0)
-                positive = scale > 0
-                for entry in (ma, mb, mc, md):
-                    np.divide(entry, scale, out=entry, where=positive)
-                scales = scale.tolist()
-                for i in np.flatnonzero(positive).tolist():
-                    log_scale[i] += math.log(scales[i])
-            if k + 1 in checkpoints:
-                rows = zip(ma.tolist(), mb.tolist(), mc.tolist(), md.tolist())
-                for i, entries in enumerate(rows):
-                    norm = TransferMatrix(*entries).operator_norm()
-                    log_norm = math.log(max(norm, 1e-300))
-                    samples[i].append((k + 1, (log_scale[i] + log_norm) / (k + 1)))
+    for k in range(n):
+        sa, sb = steps[word[k + 1], word[k + 2]]
+        ma, mb, mc, md = ([s * a + sb * x for s, a, x in zip(sa, ma, mc)],
+                          [s * b + sb * y for s, b, y in zip(sa, mb, md)],
+                          ma, mb)
+        if (k + 1) % RENORM_EVERY == 0:
+            for i, (a, b, x, y) in enumerate(zip(ma, mb, mc, md)):
+                scale = max(abs(a), abs(b), abs(x), abs(y))
+                if scale > 0:  # not for an all-zero product, nor a NaN scale
+                    ma[i], mb[i], mc[i], md[i] = a / scale, b / scale, \
+                        x / scale, y / scale
+                    log_scale[i] += math.log(scale)
+        if k + 1 in checkpoints:
+            for i, entries in enumerate(zip(ma, mb, mc, md)):
+                norm = TransferMatrix(*entries).operator_norm()
+                log_norm = math.log(max(norm, 1e-300))
+                samples[i].append((k + 1, (log_scale[i] + log_norm) / (k + 1)))
     if not all(math.isfinite(s[-1][1]) for s in samples):
         raise OverflowError("the cocycle overflows a float")
     return [LyapunovEstimate(E, s[-1][1], tuple(s)) for E, s in zip(grid, samples)]

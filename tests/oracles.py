@@ -1,12 +1,15 @@
 """Reference values and checks that only the tests compute: brute force, or
 closed forms of the paper that no command evaluates."""
 
+import math
 from fractions import Fraction
 from itertools import islice
 
 from toeplitz.coding import jumps, stabilization_index
 from toeplitz.language import language
-from toeplitz.words import block_length, level_at
+from toeplitz.spectral import (RENORM_EVERY, LyapunovEstimate, TransferMatrix,
+                               _warn_if_degenerate)
+from toeplitz.words import DEFAULT_BUDGET, block_length, level_at, word_prefix
 
 
 def m_sequence(c, i: int) -> int:
@@ -99,3 +102,56 @@ def cover_length(eigenvalues, delta: float) -> float:
     eigenvalues: each gap between neighbours adds at most 2 delta."""
     return 2 * delta + sum(min(b - a, 2 * delta)
                            for a, b in zip(eigenvalues, eigenvalues[1:]))
+
+
+def numpy_lyapunov_over_grid(c, coeff, energies, n: int,
+                             budget: int = DEFAULT_BUDGET) -> list[LyapunovEstimate]:
+    """The reference for `spectral.lyapunov_over_grid`: the same walk with
+    the four entries of the running product as numpy arrays indexed by
+    energy, rescaled with `np.max` and `np.divide(..., where=scale > 0)`.
+
+    The logs are `math.log`, as np.log may differ from libm in the last
+    ulp, so both walks run the same IEEE operations in the same order and
+    agree bit for bit, or both raise OverflowError.
+    """
+    import numpy as np
+
+    if n < 1:
+        raise IndexError("lyapunov estimates need n >= 1")
+    _warn_if_degenerate(coeff)
+    grid = [float(E) for E in energies]
+    if not grid:
+        return []
+    word = word_prefix(c, n + 2, budget)
+    checkpoints = sorted({max(1, n // 4), max(1, n // 2), n})
+    e_array = np.array(grid)
+    steps = {}  # letter pair -> ((E - q1) / p2 over the grid, -p1 / p2)
+    for first, second in set(zip(word[1:], word[2:])):
+        p1, p2 = float(coeff.p_values[first]), float(coeff.p_values[second])
+        steps[first, second] = (e_array - float(coeff.q_values[first])) / p2, -p1 / p2
+    ma, mb = np.ones_like(e_array), np.zeros_like(e_array)
+    mc, md = np.zeros_like(e_array), np.ones_like(e_array)
+    log_scale = [0.0] * len(grid)
+    samples: list[list[tuple[int, float]]] = [[] for _ in grid]
+    # overflow shows up as a value that is not finite, checked at the end
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            sa, sb = steps[word[k + 1], word[k + 2]]
+            ma, mb, mc, md = sa * ma + sb * mc, sa * mb + sb * md, ma, mb
+            if (k + 1) % RENORM_EVERY == 0:
+                scale = np.max(np.abs([ma, mb, mc, md]), axis=0)
+                positive = scale > 0
+                for entry in (ma, mb, mc, md):
+                    np.divide(entry, scale, out=entry, where=positive)
+                scales = scale.tolist()
+                for i in np.flatnonzero(positive).tolist():
+                    log_scale[i] += math.log(scales[i])
+            if k + 1 in checkpoints:
+                rows = zip(ma.tolist(), mb.tolist(), mc.tolist(), md.tolist())
+                for i, entries in enumerate(rows):
+                    norm = TransferMatrix(*entries).operator_norm()
+                    log_norm = math.log(max(norm, 1e-300))
+                    samples[i].append((k + 1, (log_scale[i] + log_norm) / (k + 1)))
+    if not all(math.isfinite(s[-1][1]) for s in samples):
+        raise OverflowError("the cocycle overflows a float")
+    return [LyapunovEstimate(E, s[-1][1], tuple(s)) for E, s in zip(grid, samples)]

@@ -333,6 +333,15 @@ class TestExitCodes:
         assert err == ("toeplitz spectrum: dsterf did not converge "
                        "(LAPACK info=1)\n")
 
+    def test_section_without_numpy_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(spectral, "_dsterf", lambda: None)
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
+        code, out, err = run(capsys, "spectrum", "--preset", "grigorchuk",
+                             "--q", "a=0,x=1,y=2,z=3", "--size", "8")
+        assert (code, out) == (2, "")
+        assert err == ("toeplitz spectrum: finite sections need numpy: neither "
+                       "its bundled LAPACK dsterf nor numpy was found\n")
+
     def test_alpha_below_one_names_the_flag(self, capsys):
         code, out, err = run(capsys, "repetitivity", "--preset", "grigorchuk",
                              "--max-len", "4", "--alpha", "1/2")
@@ -507,7 +516,7 @@ IMPORTS = {
              "words language verdicts boshernitzan"),
     "spectrum-lyapunov": (["spectrum", "--preset", "grigorchuk",
                            "--energies=-3:6:5", "--lyapunov", "64"],
-                          "words spectral numpy"),
+                          "words spectral"),
     "spectrum-size": (["spectrum", "--preset", "grigorchuk", "--size", "4"],
                       "words spectral"),
 }

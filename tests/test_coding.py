@@ -243,6 +243,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             Alphabet.from_names(names)
 
+    def test_alphabet_record_helpers_round_trip(self):
+        ab = Alphabet.from_names("ab")
+        assert ab._asdict() == {"names": ("a", "b")}
+        assert Alphabet(**ab._asdict()) == ab
+        assert ab._replace(names=("x", "y")) == Alphabet.from_names("xy")
+        assert ab._replace() == ab
+        with pytest.raises(ValueError, match="unique"):
+            ab._replace(names=("x", "x"))
+
     def test_largest_alphabet(self):
         assert len(Alphabet.from_names(f"l{i}" for i in range(255))) == 255
 

@@ -20,6 +20,8 @@ ENTRY_POINTS = {  # name -> why it stays although no other code in src/ uses it
     "contracted_arcs": "the de Bruijn arcs read off a graph",
     "predicted_arcs": "the paper's de Bruijn arc description",
     "transfer_cocycle": "the exact transfer-matrix cocycle",
+    "_asdict": "Alphabet's NamedTuple helper, which must not iterate the names",
+    "_replace": "Alphabet's NamedTuple helper, which must not iterate the names",
 }
 
 UNREAD_FIELDS = {  # Class.field -> why it stays although src/ never reads it

@@ -12,7 +12,7 @@ import pytest
 from conftest import make_battery, periodic_codings
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import cover_length, spectral_bounds
+from oracles import cover_length, numpy_lyapunov_over_grid, spectral_bounds
 
 from toeplitz import spectral
 from toeplitz.coding import Alphabet, Coding, CodingEntry, PeriodicTail, normalize
@@ -152,6 +152,18 @@ class TestCocycle:
 
 small = st.fractions(-3, 3, max_denominator=8)
 nonzero = small.filter(bool)
+# products of these underflow to zero or overflow a float
+extreme = st.sampled_from([1e150, -1e150, 1e-150, -1e-150])
+BATTERY = make_battery()
+
+
+def walk_outcome(walk, *args) -> str:
+    """The repr of every estimate, or the overflow; repr, as a checkpoint
+    sample is NaN where `operator_norm`'s f * f overflows."""
+    try:
+        return repr(walk(*args))
+    except OverflowError:
+        return "OverflowError"
 
 
 class TestLyapunov:
@@ -213,6 +225,26 @@ class TestLyapunov:
         coeff = CoefficientMap(c.alphabet, tuple(p[:letters]),
                                tuple(q[:letters]))
         assert_grid_is_exact(c, coeff, energies, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(index=st.integers(0, len(BATTERY) - 1),
+           p=st.lists(st.one_of(nonzero, extreme), min_size=5, max_size=5),
+           q=st.lists(st.one_of(small, extreme), min_size=5, max_size=5),
+           energies=st.lists(st.one_of(small.map(float), extreme),
+                             min_size=1, max_size=6),
+           n=st.sampled_from([1, 31, 32, 33, 1000]))
+    # at k = 32, E = -1 has one column of zeros and one of NaNs, so the
+    # largest absolute entry `max` finds is 0.0, where np.max finds NaN
+    @example(index=18, p=[-1e150, 1e-150, Fraction(1, 8), 1, 1],
+             q=[-1, -3, -3, 0, 0], energies=[-3.0, -1.0], n=32)
+    def test_grid_matches_the_numpy_walk_bit_for_bit(self, index, p, q,
+                                                     energies, n):
+        c = BATTERY[index]
+        letters = len(c.alphabet)
+        coeff = CoefficientMap(c.alphabet, tuple(p[:letters]),
+                               tuple(q[:letters]))
+        assert walk_outcome(lyapunov_over_grid, c, coeff, energies, n) == \
+            walk_outcome(numpy_lyapunov_over_grid, c, coeff, energies, n)
 
     def test_grid_energies_are_independent(self, grig, grig_coeff):
         lo, hi = spectral_bounds(grig_coeff)
