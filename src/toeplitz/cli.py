@@ -6,10 +6,13 @@ sorted, JSON keys are sorted and floats use repr.  Every scan runs serially;
 the worker-count flag is accepted for compatibility and has no effect.
 Each handler imports the modules it runs, so a subcommand loads only its own
 layers: `presets` loads `cli`, `errors`, `presets` and `coding`, and only
-`spectrum` imports `toeplitz.spectral`.  Of the `spectrum` runs, only
-`--size` imports numpy, and only where numpy's wheel bundles no LAPACK
-`dsterf`.  Every record is a `typing.NamedTuple`, so no subcommand imports
-`inspect` (numpy's own start-up does).
+`spectrum` imports `toeplitz.spectral`.  Of the `spectrum` runs,
+`--energies` imports neither numpy, `ctypes` nor `fractions`; `--size`
+imports `ctypes` to call LAPACK's `dsterf` from numpy's wheel, and numpy
+only where that wheel bundles no `dsterf`.  Of the other subcommands, only
+`repetitivity` and `bosh` import `fractions`.  Every record is a
+`typing.NamedTuple`, so no subcommand imports `inspect` (numpy's own
+start-up does).
 """
 
 from __future__ import annotations

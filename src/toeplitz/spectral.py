@@ -14,10 +14,11 @@ J psi = E psi propagate through the one-step matrices
 whose ordered products form the cocycle; the factor at position k reads
 the letters at k+1 and k+2.  Two walks compute those products:
 `transfer_cocycle` multiplies `TransferMatrix` values, exactly when the
-coefficients and E are Fractions, and `lyapunov_over_grid` carries float
-products for a whole energy grid at once, as lists of Python floats, and
-turns them into Lyapunov estimates (one energy is a one-element grid).  The
-tests hold the float walk to the exact one.
+coefficients and E are Fractions, and `lyapunov_over_grid` walks an energy
+grid one energy at a time, carrying the product's four entries as scalar
+Python floats, and turns them into Lyapunov estimates.  The tests hold the
+float walk to the exact one, and bit for bit to a numpy walk over the whole
+grid.
 
 Finite sections are truncations to positions 0..N-1 of the one-sided
 representative word with zero boundary conditions: real symmetric
@@ -29,25 +30,29 @@ same floats a dense solver gives, without importing numpy.  Only sections
 where numpy bundles no such library import numpy: its dense `eigvalsh`
 takes their eigenvalues instead.  Cantor structure or measure-zero claims
 are never asserted here.
+
+Each import sits where it is used: `fractions` in the exact mode's division,
+`ctypes`, `importlib.util` and `pathlib` in the finite sections' search for
+`dsterf` and call of it, and numpy in their fallback.  A Lyapunov scan
+loads none of them.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import importlib.util
 import math
 import sys
 import warnings
-from fractions import Fraction
-from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 from .coding import Alphabet, Coding
 from .errors import BudgetExceeded
 from .words import DEFAULT_BUDGET, word_prefix
 
-Number = Union[int, float, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Number = Union[int, float, "Fraction"]
 
 
 class _CoefficientMapFields(NamedTuple):
@@ -125,6 +130,8 @@ class TransferMatrix(NamedTuple):
 
 
 def _div(a: Number, b: Number) -> Number:
+    from fractions import Fraction
+
     # keep int/int exact instead of decaying to float
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
         return Fraction(a) / Fraction(b)
@@ -198,6 +205,10 @@ def _dsterf():
     integers are 64-bit.  A numpy built against another LAPACK, or whose
     wheel bundles an older OpenBLAS, has no such file.
     """
+    import ctypes
+    import importlib.util
+    from pathlib import Path
+
     spec = importlib.util.find_spec("numpy")
     if spec is None or spec.origin is None:
         return None
@@ -260,6 +271,8 @@ def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
         matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         return tuple(np.linalg.eigvalsh(matrix).tolist())
 
+    import ctypes
+
     norm = max(map(abs, entries))
     sigma = 1.0
     if 0 < norm < _RMIN:
@@ -289,20 +302,23 @@ def energy_grid(lo: float, hi: float, steps: int) -> list[float]:
 def lyapunov_over_grid(c: Coding, coeff: CoefficientMap,
                        energies: Sequence[Number], n: int,
                        budget: int = DEFAULT_BUDGET) -> list[LyapunovEstimate]:
-    """(1/k) log ||cocycle(k)|| at k = n/4, n/2, n for every energy, in one walk.
+    """(1/k) log ||cocycle(k)|| at k = n/4, n/2, n for every energy.
 
-    The running products' four entries are lists of Python floats indexed
-    by energy, rescaled by their largest entry every RENORM_EVERY steps with
-    the log kept apart, so n ~ 2^16 stays inside float range.  Every step
-    matrix has bottom row (1, 0), so a step computes the new top row, one
-    list comprehension per column, and shifts the old one down.  Every
-    operation is per energy, so an energy's result does not depend on the
-    rest of the grid.  A value that is not finite, because an entry or a
-    checkpoint norm overflowed a float, raises OverflowError.
+    The walk numbers the letter pairs its steps read once, one byte a
+    step, and then takes the energies one at a time, each with a table of
+    ((E - q1) / p2, -p1 / p2) per pair, so only the estimates grow with the
+    grid.  Every step matrix has bottom row (1, 0), so the product's columns
+    (a, x) and (b, y) follow the two-term recurrences a, x <- s a + sb x, a
+    on scalar floats.  Every RENORM_EVERY steps the product is rescaled by
+    its largest entry with the log kept apart, so n ~ 2^16 stays inside
+    float range; where a checkpoint falls on the same step, the rescaling
+    comes first.  An energy's result does not depend on the rest of the
+    grid.  A value that is not finite, because an entry or a checkpoint norm
+    overflowed a float, raises OverflowError at the first such energy.
 
-    A launch at n = 4096 on a shared 2-core host was faster than with
-    numpy's import and a numpy walk up to about 130-150 energies (README),
-    and slower above.
+    A launch at n = 4096 on a shared 2-core host was faster than one that
+    imports numpy and walks the whole grid with it, up to somewhere between
+    250 and 400 energies (README), and slower above.
     """
     if n < 1:
         raise IndexError("lyapunov estimates need n >= 1")
@@ -310,35 +326,38 @@ def lyapunov_over_grid(c: Coding, coeff: CoefficientMap,
     grid = [float(E) for E in energies]
     if not grid:
         return []
-    word = word_prefix(c, n + 2, budget)
+    word = memoryview(word_prefix(c, n + 2, budget))
+    # step k reads the letter pair (word[k + 1], word[k + 2]).  One of two
+    # adjacent symbols is always the first level's letter, and n symbols
+    # hold at most log2(n) + 1 letters, so the pairs' numbers fit a byte
+    kind_of = {pair: i for i, pair in enumerate(set(zip(word[1:], word[2:])))}
+    kinds = bytes(map(kind_of.__getitem__, zip(word[1:], word[2:])))
+    p, q = coeff.p_values, coeff.q_values
+    pairs = [(float(q[first]), float(p[second]),
+              -float(p[first]) / float(p[second])) for first, second in kind_of]
     checkpoints = sorted({max(1, n // 4), max(1, n // 2), n})
-    steps = {}  # letter pair -> ((E - q1) / p2 over the grid, -p1 / p2)
-    for first, second in set(zip(word[1:], word[2:])):
-        p1, p2 = float(coeff.p_values[first]), float(coeff.p_values[second])
-        q1 = float(coeff.q_values[first])
-        steps[first, second] = [(E - q1) / p2 for E in grid], -p1 / p2
-    ma, mb = [1.0] * len(grid), [0.0] * len(grid)
-    mc, md = [0.0] * len(grid), [1.0] * len(grid)
-    log_scale = [0.0] * len(grid)
-    samples: list[list[tuple[int, float]]] = [[] for _ in grid]
-    # overflow shows up as a value that is not finite, checked at the end
-    for k in range(n):
-        sa, sb = steps[word[k + 1], word[k + 2]]
-        ma, mb, mc, md = ([s * a + sb * x for s, a, x in zip(sa, ma, mc)],
-                          [s * b + sb * y for s, b, y in zip(sa, mb, md)],
-                          ma, mb)
-        if (k + 1) % RENORM_EVERY == 0:
-            for i, (a, b, x, y) in enumerate(zip(ma, mb, mc, md)):
+    ends = sorted([*range(RENORM_EVERY, n + 1, RENORM_EVERY),
+                   *(k for k in checkpoints if k % RENORM_EVERY)])
+    estimates = []
+    for E in grid:
+        steps = [((E - q1) / p2, sb) for q1, p2, sb in pairs]
+        a, b, x, y = 1.0, 0.0, 0.0, 1.0  # top row (a, b), bottom row (x, y)
+        log_scale, samples, start = 0.0, [], 0
+        for stop in ends:
+            for s, sb in map(steps.__getitem__, kinds[start:stop]):
+                a, x = s * a + sb * x, a
+                b, y = s * b + sb * y, b
+            if stop % RENORM_EVERY == 0:
                 scale = max(abs(a), abs(b), abs(x), abs(y))
                 if scale > 0:  # not for an all-zero product, nor a NaN scale
-                    ma[i], mb[i], mc[i], md[i] = a / scale, b / scale, \
-                        x / scale, y / scale
-                    log_scale[i] += math.log(scale)
-        if k + 1 in checkpoints:
-            for i, entries in enumerate(zip(ma, mb, mc, md)):
-                norm = TransferMatrix(*entries).operator_norm()
+                    a, b, x, y = a / scale, b / scale, x / scale, y / scale
+                    log_scale += math.log(scale)
+            if stop in checkpoints:
+                norm = TransferMatrix(a, b, x, y).operator_norm()
                 log_norm = math.log(max(norm, 1e-300))
-                samples[i].append((k + 1, (log_scale[i] + log_norm) / (k + 1)))
-    if not all(math.isfinite(s[-1][1]) for s in samples):
-        raise OverflowError("the cocycle overflows a float")
-    return [LyapunovEstimate(E, s[-1][1], tuple(s)) for E, s in zip(grid, samples)]
+                samples.append((stop, (log_scale + log_norm) / stop))
+            start = stop
+        if not math.isfinite(samples[-1][1]):
+            raise OverflowError("the cocycle overflows a float")
+        estimates.append(LyapunovEstimate(E, samples[-1][1], tuple(samples)))
+    return estimates

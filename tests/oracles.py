@@ -106,13 +106,14 @@ def cover_length(eigenvalues, delta: float) -> float:
 
 def numpy_lyapunov_over_grid(c, coeff, energies, n: int,
                              budget: int = DEFAULT_BUDGET) -> list[LyapunovEstimate]:
-    """The reference for `spectral.lyapunov_over_grid`: the same walk with
-    the four entries of the running product as numpy arrays indexed by
-    energy, rescaled with `np.max` and `np.divide(..., where=scale > 0)`.
+    """The reference for `spectral.lyapunov_over_grid`: one walk over the
+    whole grid, with the four entries of the running product as numpy
+    arrays indexed by energy, rescaled with `np.max` and
+    `np.divide(..., where=scale > 0)`.
 
     The logs are `math.log`, as np.log may differ from libm in the last
-    ulp, so both walks run the same IEEE operations in the same order and
-    agree bit for bit, or both raise OverflowError.
+    ulp, so per energy both walks run the same IEEE operations in the same
+    order and agree bit for bit, or both raise OverflowError.
     """
     import numpy as np
 

@@ -480,6 +480,11 @@ STDOUT_DIGESTS = [
     (("spectrum", "--preset", "grigorchuk", "--q", "a=0,x=1,y=2,z=3",
       "--energies=-3:6:121", "--lyapunov", "4096"),
      "cd74cfbc3cb8b023739f5da78b51ea314ea58dc9dc7daf9cf443dd15d4063bdc"),
+    # varied p, so the off-diagonal ratio -p1 / p2 is not -1, and none of
+    # the checkpoints 500, 1000 and 2000 ends a rescaling block
+    (("spectrum", "--preset", "l-grigorchuk(1,3)", "--q", "a=0,x=1,y=2,z=3",
+      "--p", "a=1,x=2,y=0.5,z=1.5", "--energies=-4:7:61", "--lyapunov", "2000"),
+     "1fb2c2da409fe31b097015c8698d8e9ef136f96779aaeb79675466f6de8664e2"),
     (("spectrum", "--preset", "grigorchuk", "--q", "a=0,x=1,y=2,z=3",
       "--size", "2048"),
      "a0fecbfe6f3121c7fefe09bb01837ed247869c7ebf51ec271dccb3ebcb33d3ae"),
@@ -497,8 +502,9 @@ def test_stdout_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# each command and the modules it may load: the package, `toeplitz.*`, numpy
-# and scipy
+# each command and the modules it may load: the package, `toeplitz.*` and the
+# tracked outside modules below
+TRACKED = ("numpy", "scipy", "dataclasses", "inspect", "fractions", "ctypes")
 IMPORTS = {
     "presets": (["presets"], ""),
     "gen": (["gen", "--preset", "grigorchuk", "--length", "16"], "words"),
@@ -511,14 +517,14 @@ IMPORTS = {
     "debruijn": (["debruijn", "--preset", "grigorchuk", "-L", "3"],
                  "words language debruijn"),
     "repetitivity": (["repetitivity", "--preset", "grigorchuk", "--alpha", "1"],
-                     "words language verdicts repetitivity"),
+                     "words language verdicts repetitivity fractions"),
     "bosh": (["bosh", "--preset", "grigorchuk", "--eta", "2", "--prefix", "64"],
-             "words language verdicts boshernitzan"),
+             "words language verdicts boshernitzan fractions"),
     "spectrum-lyapunov": (["spectrum", "--preset", "grigorchuk",
                            "--energies=-3:6:5", "--lyapunov", "64"],
                           "words spectral"),
     "spectrum-size": (["spectrum", "--preset", "grigorchuk", "--size", "4"],
-                      "words spectral"),
+                      "words spectral ctypes"),
 }
 
 
@@ -548,13 +554,12 @@ class TestImports:
             "except SystemExit as exc:\n"
             "    code = exc.code\n"
             "print(json.dumps([code, sorted(m for m in sys.modules\n"
-            "    if m in ('numpy', 'scipy', 'dataclasses', 'inspect')\n"
-            "    or m.split('.')[0] == 'toeplitz')]),\n"
+            f"    if m in {TRACKED!r} or m.split('.')[0] == 'toeplitz')]),\n"
             "    file=sys.stderr)\n",
             *argv)
         code, loaded = json.loads(proc.stderr.splitlines()[-1])
         assert code == 0, proc.stderr
         base = ["toeplitz", "cli", "errors", "presets", "coding"]
         assert loaded == sorted(
-            m if m in ("toeplitz", "numpy", "inspect") else f"toeplitz.{m}"
+            m if m == "toeplitz" or m in TRACKED else f"toeplitz.{m}"
             for m in [*base, *own.split()])

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -237,6 +238,15 @@ class TestLyapunov:
     # largest absolute entry `max` finds is 0.0, where np.max finds NaN
     @example(index=18, p=[-1e150, 1e-150, Fraction(1, 8), 1, 1],
              q=[-1, -3, -3, 0, 0], energies=[-3.0, -1.0], n=32)
+    # E = -1 alone: the walk raises at the first energy that overflows, so
+    # after E = -3 it never reaches the scale of 0.0
+    @example(index=18, p=[-1e150, 1e-150, Fraction(1, 8), 1, 1],
+             q=[-1, -3, -3, 0, 0], energies=[-1.0], n=32)
+    # moderate values at n = 32, where the last checkpoint ends a rescaling
+    # block: the order of the two, the rescaling period, its log and the
+    # two-term recurrences all show in the last bits
+    @example(index=0, p=[1, 2, 0.5, 1.5, 1], q=[0, 1, 2, 3, 0],
+             energies=[-3.0, 0.5, 5.0], n=32)
     def test_grid_matches_the_numpy_walk_bit_for_bit(self, index, p, q,
                                                      energies, n):
         c = BATTERY[index]
@@ -253,6 +263,19 @@ class TestLyapunov:
         assert n % RENORM_EVERY
         assert lyapunov_over_grid(grig, grig_coeff, grid, n) == \
             [one_energy_estimate(grig, grig_coeff, E, n) for E in grid]
+
+    def test_one_energy_walk_holds_a_few_bytes_per_step(self, grig, grig_coeff):
+        # the word and the letter-pair kind of each step take a byte a step,
+        # and `word_prefix` peaks at 4 bytes a step while it builds the
+        # word; a list of n step references would hold 8 more
+        n = 1 << 18
+        tracemalloc.start()
+        try:
+            one_energy_estimate(grig, grig_coeff, 0.5, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * n
 
     def test_grid_edge_cases(self, grig, grig_coeff):
         assert lyapunov_over_grid(grig, grig_coeff, [], 64) == []
