@@ -8,9 +8,9 @@ spectra of the associated Jacobi operators.
 
 The public names below load their submodule on first access (PEP 562), so
 importing the package, or running one CLI subcommand, compiles only the
-modules that are used.  Records are immutable `typing.NamedTuple` classes;
-those that check their fields do so in `__new__`, on a thin subclass of the
-NamedTuple that holds the fields.
+modules that are used.  Records are immutable named tuples.  Those that
+check their fields subclass `coding.checked_record` and check in `__new__`,
+which `_make`, `_replace` and `copy.replace` go through as well.
 """
 
 import importlib

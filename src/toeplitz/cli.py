@@ -10,9 +10,9 @@ layers: `presets` loads `cli`, `errors`, `presets` and `coding`, and only
 `--energies` imports neither numpy, `ctypes` nor `fractions`; `--size`
 imports `ctypes` to call LAPACK's `dsterf` from numpy's wheel, and numpy
 only where that wheel bundles no `dsterf`.  Of the other subcommands, only
-`repetitivity` and `bosh` import `fractions`.  Every record is a
-`typing.NamedTuple`, so no subcommand imports `inspect` (numpy's own
-start-up does).
+`repetitivity` and `bosh` import `fractions`.  Every record is a named
+tuple, not a dataclass, so no subcommand imports `dataclasses` or `inspect`
+(numpy's own start-up does).
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ def _cmd_bosh(c: Coding, args) -> int:
 def _parse_coeff(c: Coding, spec: str, flag: str,
                  default: float) -> dict[str, float]:
     """Letter name -> value from a --p or --q map."""
-    values = dict.fromkeys(c.alphabet, default)
+    values = dict.fromkeys(c.alphabet.names, default)
     for item in spec.split(","):
         item = item.strip()
         if not item:

@@ -6,8 +6,8 @@ sequence (r_k) only moves the reference point inside the subshift and is
 therefore not part of a ``Coding``.
 
 A letter is an ``int``: its index in ``coding.alphabet``, and its byte value
-in words.  ``alphabet[i]`` is the name of letter i, and names are used only
-to parse and render.  ``c.letter(k)``, ``tail_alphabet`` and
+in words.  ``alphabet.names[i]`` is the name of letter i, and names are used
+only to parse and render.  ``c.letter(k)``, ``tail_alphabet`` and
 ``eventual_alphabet`` hand out letters as ints.
 
 Two tail backends are supported.  A ``PeriodicTail`` repeats a finite cycle
@@ -28,19 +28,24 @@ on a periodic tail, finds their cycle in the same walk.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import count, islice
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, Union
 
 from .errors import AllLettersEqual, EmptyCoding, HorizonExceeded
 
 MAX_ALPHABET = 255
 
 
-class _AlphabetFields(NamedTuple):
-    names: tuple[str, ...]
+def checked_record(typename: str, field_names: str) -> type:
+    """A namedtuple base whose `_make`, and with it `_replace` and
+    `copy.replace`, builds through the subclass's field-checking `__new__`."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, fields: cls(*fields))
+    return base
 
 
-class Alphabet(_AlphabetFields):
+class Alphabet(checked_record("Alphabet", "names")):
     """Letter names; a letter is its index here and its byte value in words."""
 
     __slots__ = ()
@@ -52,29 +57,9 @@ class Alphabet(_AlphabetFields):
             raise ValueError("letter names must be unique")
         return super().__new__(cls, names)
 
-    def __getnewargs__(self) -> tuple[tuple[str, ...]]:
-        # pickle and copy rebuild from this; iterating self yields the names
-        return (self.names,)
-
-    # the inherited helpers iterate self too
-    def _asdict(self) -> dict[str, tuple[str, ...]]:
-        return {"names": self.names}
-
-    def _replace(self, **fields) -> "Alphabet":
-        return type(self)(**{"names": self.names, **fields})
-
     @classmethod
     def from_names(cls, names) -> "Alphabet":
         return cls(tuple(names))
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names)
-
-    def __getitem__(self, letter: int) -> str:
-        return self.names[letter]
 
     def by_name(self, name: str) -> int:
         try:
@@ -90,12 +75,7 @@ class Alphabet(_AlphabetFields):
         return " ".join(names)
 
 
-class _CodingEntryFields(NamedTuple):
-    letter: int
-    period: int
-
-
-class CodingEntry(_CodingEntryFields):
+class CodingEntry(checked_record("CodingEntry", "letter period")):
     """One step of the coding: insert letter a_k with period n_k."""
 
     __slots__ = ()
@@ -106,11 +86,7 @@ class CodingEntry(_CodingEntryFields):
         return super().__new__(cls, letter, period)
 
 
-class _PeriodicTailFields(NamedTuple):
-    entries: tuple[CodingEntry, ...]
-
-
-class PeriodicTail(_PeriodicTailFields):
+class PeriodicTail(checked_record("PeriodicTail", "entries")):
     __slots__ = ()
 
     def __new__(cls, entries: tuple[CodingEntry, ...]) -> "PeriodicTail":
@@ -119,13 +95,7 @@ class PeriodicTail(_PeriodicTailFields):
         return super().__new__(cls, entries)
 
 
-class _GeneratorTailFields(NamedTuple):
-    name: str
-    entries: tuple[CodingEntry, ...]
-    recurrent: frozenset[int]
-
-
-class GeneratorTail(_GeneratorTailFields):
+class GeneratorTail(checked_record("GeneratorTail", "name entries recurrent")):
     """Finite materialized stretch of a named generator rule.
 
     ``recurrent`` is the set of letter ids the rule promises to emit
@@ -155,22 +125,19 @@ class GeneratorTail(_GeneratorTailFields):
 Tail = Union[PeriodicTail, GeneratorTail]
 
 
-class _CodingFields(NamedTuple):
-    alphabet: Alphabet
-    preperiod: tuple[CodingEntry, ...]
-    tail: Tail
-
-
-class Coding(_CodingFields):
+class Coding(checked_record("Coding", "alphabet preperiod tail")):
     """The pair of sequences (a_k), (n_k), split into preperiod and tail."""
 
     __slots__ = ()
 
     def __new__(cls, alphabet: Alphabet, preperiod: tuple[CodingEntry, ...],
                 tail: Tail) -> "Coding":
-        for e in preperiod + tail.entries:
-            if not 0 <= e.letter < len(alphabet):
-                raise ValueError(f"letter {e.letter} not in alphabet")
+        letters = [e.letter for e in preperiod + tail.entries]
+        if isinstance(tail, GeneratorTail):
+            letters += sorted(tail.recurrent)
+        for letter in letters:
+            if not 0 <= letter < len(alphabet.names):
+                raise ValueError(f"letter {letter} not in alphabet")
         return super().__new__(cls, alphabet, preperiod, tail)
 
     @property
@@ -226,10 +193,10 @@ class Coding(_CodingFields):
         normal form, though letter indices may be renumbered.  A generator
         tail is recorded by name only: its horizon and periods are not kept.
         """
-        pre = " ".join(f"{self.alphabet[e.letter]}:{e.period}"
+        pre = " ".join(f"{self.alphabet.names[e.letter]}:{e.period}"
                        for e in self.preperiod)
         if isinstance(self.tail, PeriodicTail):
-            t = " ".join(f"{self.alphabet[e.letter]}:{e.period}"
+            t = " ".join(f"{self.alphabet.names[e.letter]}:{e.period}"
                          for e in self.tail.entries)
         else:
             t = f"@{self.tail.name}"

@@ -159,7 +159,7 @@ def parse_coding_spec(text: str, periods: Sequence[int] = (2,),
             raise ValueError(f"{flag}: @{name} takes at most one argument, "
                              f"the horizon, got {right!r}")
         base = GENERATORS[name](*args, periods=tuple(periods))
-        return _coding(base.alphabet, pre_tokens, [], base.tail)
+        return _coding(base.alphabet.names, pre_tokens, [], base.tail)
 
     tail_tokens = _parse_entries(right, flag)
     if not tail_tokens:

@@ -45,7 +45,7 @@ import sys
 import warnings
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
-from .coding import Alphabet, Coding
+from .coding import Alphabet, Coding, checked_record
 from .errors import BudgetExceeded
 from .words import DEFAULT_BUDGET, word_prefix
 
@@ -55,20 +55,15 @@ if TYPE_CHECKING:
 Number = Union[int, float, "Fraction"]
 
 
-class _CoefficientMapFields(NamedTuple):
-    alphabet: Alphabet
-    p_values: tuple[Number, ...]
-    q_values: tuple[Number, ...]
-
-
-class CoefficientMap(_CoefficientMapFields):
+class CoefficientMap(checked_record("CoefficientMap",
+                                    "alphabet p_values q_values")):
     """Letter-indexed Jacobi coefficients: off-diagonal p, diagonal q."""
 
     __slots__ = ()
 
     def __new__(cls, alphabet: Alphabet, p_values: tuple[Number, ...],
                 q_values: tuple[Number, ...]) -> "CoefficientMap":
-        if len(p_values) != len(alphabet) or len(q_values) != len(alphabet):
+        if not len(p_values) == len(q_values) == len(alphabet.names):
             raise ValueError("need one (p, q) pair per letter")
         if any(v == 0 for v in p_values):
             raise ValueError("off-diagonal values p must be nonzero")
@@ -77,8 +72,8 @@ class CoefficientMap(_CoefficientMapFields):
     @classmethod
     def from_names(cls, alphabet: Alphabet, q: dict, p: Optional[dict] = None
                    ) -> "CoefficientMap":
-        qv = tuple(q[name] for name in alphabet)
-        pv = tuple((p or {}).get(name, 1) for name in alphabet)
+        qv = tuple(q[name] for name in alphabet.names)
+        pv = tuple((p or {}).get(name, 1) for name in alphabet.names)
         return cls(alphabet, pv, qv)
 
     @property

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Optional
 
-from .coding import Coding, scaled_length, tail_alphabet
+from .coding import Coding, checked_record, scaled_length, tail_alphabet
 from .errors import DEFAULT_BUDGET, BudgetExceeded, InvalidShift
 
 
@@ -133,12 +133,7 @@ def word_prefix(c: Coding, length: int, budget: int = DEFAULT_BUDGET) -> bytes:
     return prefix[:length]
 
 
-class _UndeterminedPartFields(NamedTuple):
-    modulus: int
-    offset: int
-
-
-class UndeterminedPart(_UndeterminedPartFields):
+class UndeterminedPart(checked_record("UndeterminedPart", "modulus offset")):
     """Residue class modulus*Z + offset of the holes of an approximant."""
 
     __slots__ = ()

@@ -75,7 +75,7 @@ def periodic_codings(draw) -> Coding:
     to some |p(k)| should cap its range.
     """
     alphabet = Alphabet.from_names("abcd"[:draw(st.integers(2, 4))])
-    entries = st.builds(CodingEntry, st.sampled_from(range(len(alphabet))),
+    entries = st.builds(CodingEntry, st.sampled_from(range(len(alphabet.names))),
                         st.integers(2, 3))
     pre = draw(st.lists(entries, max_size=2))
     tail = draw(st.lists(entries, min_size=2, max_size=4))

@@ -76,11 +76,11 @@ class TestLanguage:
 class TestRightExtensions:
     def test_branching_letter(self, grig):
         exts = right_extensions(grig, word_prefix(grig, 1))
-        assert {grig.alphabet[l] for l in exts} == {"x", "y", "z"}
+        assert {grig.alphabet.names[l] for l in exts} == {"x", "y", "z"}
 
     def test_forced_letter(self, grig):
         x = bytes([grig.alphabet.by_name("x")])
-        assert {grig.alphabet[l] for l in right_extensions(grig, x)} == {"a"}
+        assert {grig.alphabet.names[l] for l in right_extensions(grig, x)} == {"a"}
 
     def test_special_suffix_extends_by_whole_tail_alphabet(self, grig):
         for k in (1, 2, 3):

@@ -222,7 +222,7 @@ class TestLyapunov:
              energies=[0.0, 0.0, -2.0], n=36)
     def test_grid_equals_exact_cocycle_on_periodic_codings(self, c, p, q,
                                                            energies, n):
-        letters = len(c.alphabet)
+        letters = len(c.alphabet.names)
         coeff = CoefficientMap(c.alphabet, tuple(p[:letters]),
                                tuple(q[:letters]))
         assert_grid_is_exact(c, coeff, energies, n)
@@ -250,7 +250,7 @@ class TestLyapunov:
     def test_grid_matches_the_numpy_walk_bit_for_bit(self, index, p, q,
                                                      energies, n):
         c = BATTERY[index]
-        letters = len(c.alphabet)
+        letters = len(c.alphabet.names)
         coeff = CoefficientMap(c.alphabet, tuple(p[:letters]),
                                tuple(q[:letters]))
         assert walk_outcome(lyapunov_over_grid, c, coeff, energies, n) == \
@@ -372,7 +372,7 @@ magnitude = st.sampled_from([1e-320, 1e-300, 1e-200, 1e-147, 1.0,
 
 def assert_section_maps_match_dense(name, qp):
     c, (q, p) = SECTION_CODINGS[name], SECTION_MAPS[qp]
-    letters = range(len(c.alphabet))
+    letters = range(len(c.alphabet.names))
     coeff = CoefficientMap(c.alphabet, tuple(map(p, letters)),
                            tuple(map(q, letters)))
     for size in (2, 3, 17, 256, 1024):
@@ -431,8 +431,8 @@ class TestDenseIdentity:
         p_value = scaled.filter(bool)
         coeff = CoefficientMap(
             c.alphabet,
-            tuple(data.draw(p_value) for _ in c.alphabet),
-            tuple(data.draw(q_value) for _ in c.alphabet))
+            tuple(data.draw(p_value) for _ in c.alphabet.names),
+            tuple(data.draw(q_value) for _ in c.alphabet.names))
         assert_matches_dense(c, coeff, size)
 
 
