@@ -8,9 +8,13 @@ spectra of the associated Jacobi operators.
 
 The public names below load their submodule on first access (PEP 562), so
 importing the package, or running one CLI subcommand, compiles only the
-modules that are used.  Records are immutable named tuples.  Those that
-check their fields subclass `coding.checked_record` and check in `__new__`,
-which `_make`, `_replace` and `copy.replace` go through as well.
+modules that are used.  Within a module, a layer that one path alone needs
+is imported on that path: `repetitivity` loads `words` and `language` for
+its tables and `fractions` and `verdicts` for `alpha_verdict`, and
+`boshernitzan` loads `fractions`, `language` and `words` for `estimate_eta`
+only.  Records are immutable named tuples.  Those that check their fields
+subclass `coding.checked_record` and check in `__new__`, which `_make`,
+`_replace` and `copy.replace` go through as well.
 """
 
 import importlib

@@ -16,13 +16,14 @@ judged by the same bounded-subsequence rule as the products and reported
 alongside as a consistency check.
 
 eta itself is estimated empirically from letter frequencies in a long
-prefix; the invariant measure is never represented.
+prefix; the invariant measure is never represented.  `estimate_eta` imports
+`fractions`, `language` and `words` where it runs, so a verdict alone loads
+none of them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .coding import (
@@ -31,10 +32,8 @@ from .coding import (
     period_product,
     verdict_jumps,
 )
-from .errors import PrefixTooShort
-from .language import language
+from .errors import DEFAULT_BUDGET, PrefixTooShort
 from .verdicts import Status, Verdict, trend_of
-from .words import DEFAULT_BUDGET, level, word_prefix
 
 
 class BoshVerdict(NamedTuple):
@@ -102,6 +101,11 @@ def estimate_eta(c: Coding, length: int, prefix_length: int,
     factor actually occurs in the prefix, so the estimate is a genuine
     frequency rather than a truncation artifact.
     """
+    from fractions import Fraction
+
+    from .language import language
+    from .words import level, word_prefix
+
     if length == 0:
         return EtaEstimate(0, Fraction(1), prefix_length)
     needed = 10 * (level(c, length - 1).p + 1)

@@ -4,15 +4,30 @@ Exit codes: 0 success, 1 formula/oracle mismatch, 2 usage error,
 3 budget or horizon exhaustion.  All outputs are deterministic: words are
 sorted, JSON keys are sorted and floats use repr.  Every scan runs serially;
 the worker-count flag is accepted for compatibility and has no effect.
-Each handler imports the modules it runs, so a subcommand loads only its own
-layers: `presets` loads `cli`, `errors`, `presets` and `coding`, and only
-`spectrum` imports `toeplitz.spectral`.  Of the `spectrum` runs,
-`--energies` imports neither numpy, `ctypes` nor `fractions`; `--size`
-imports `ctypes` to call LAPACK's `dsterf` from numpy's wheel, and numpy
-only where that wheel bundles no `dsterf`.  Of the other subcommands, only
-`repetitivity` and `bosh` import `fractions`.  Every record is a named
-tuple, not a dataclass, so no subcommand imports `dataclasses` or `inspect`
-(numpy's own start-up does).
+
+A launch whose first argument names a subcommand builds only that
+subcommand's parser.  `--help`, no arguments, an unknown name or an option
+before the subcommand build all nine, and the usage and error text are the
+same either way.  argparse still looks its messages up through `gettext`,
+which imports `locale`.  Each handler imports the modules it runs, so a
+launch loads `cli`, `errors`, `presets` and `coding`, and per path only:
+
+- `presets`: nothing more;
+- `gen`: `words`; `language`: `words` and `language`, with `--json` `json`;
+- `complexity` and `palindrome`: `words`, `language` and their formula
+  module (`complexity`, `debruijn`); `debruijn`: the same and `json`, which
+  `--dot` alone skips;
+- `repetitivity --max-len`: `words`, `language` and `repetitivity`;
+  `--alpha`: `repetitivity`, `verdicts`, `fractions` and `json`;
+- `bosh`: `boshernitzan`, `verdicts` and `json`; `--eta` adds `words`,
+  `language` and `fractions`;
+- `spectrum`: `words` and `spectral`.  `--energies` imports neither numpy,
+  `ctypes` nor `fractions`; `--size` imports `ctypes` to call LAPACK's
+  `dsterf` from numpy's wheel, and numpy only where that wheel bundles no
+  `dsterf`.
+
+Every record is a named tuple, not a dataclass, so no subcommand imports
+`dataclasses` or `inspect` (numpy's own start-up does).
 """
 
 from __future__ import annotations
@@ -36,22 +51,6 @@ from .presets import PRESET_NAMES, parse_coding_spec, preset
 CHECK_MISMATCH = 1
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--coding", help="coding spec, e.g. 'a:2 | x:2 y:2 z:2'")
-    parser.add_argument("--preset", help="preset name, e.g. grigorchuk")
-    parser.add_argument(
-        "--periods", default="2",
-        help="cyclic period pattern for generator tails (comma separated)",
-    )
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="symbol budget for materialized words, "
-                             "the states of the --check oracles, "
-                             "finite-section matrix entries and the "
-                             "energies of a spectrum --energies grid")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
 
 
 def _resolve(args: argparse.Namespace) -> Coding:
@@ -343,101 +342,125 @@ def _cmd_presets(_c, _args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _option(*flags: str, **kwargs) -> tuple:
+    """One `add_argument` call, kept for a subparser built on demand."""
+    return flags, kwargs
+
+
+_COMMON = (
+    _option("--coding", help="coding spec, e.g. 'a:2 | x:2 y:2 z:2'"),
+    _option("--preset", help="preset name, e.g. grigorchuk"),
+    _option("--periods", default="2",
+            help="cyclic period pattern for generator tails "
+                 "(comma separated)"),
+    _option("--budget", type=int, default=DEFAULT_BUDGET,
+            help="symbol budget for materialized words, "
+                 "the states of the --check oracles, "
+                 "finite-section matrix entries and the "
+                 "energies of a spectrum --energies grid"),
+    _option("--jobs", type=int, default=1,
+            help="accepted for compatibility; has no effect"),
+)
+_LENGTH = _option("-L", "--length", type=int, required=True)
+_MAX_LEN = _option("--max-len", type=int, required=True)
+_HORIZON = _option("--horizon", type=int, default=12)
+
+# name -> (handler, help, options), in the order `toeplitz --help`
+# lists them
+_SUBCOMMANDS = {
+    "gen": (_cmd_gen, "emit a prefix of the limit word", (
+        *_COMMON,
+        _option("--length", type=int, required=True),
+        _option("--out"),
+    )),
+    "language": (_cmd_language, "list all factors of one length", (
+        *_COMMON, _LENGTH,
+        _option("--json", action="store_true"),
+        _option("--out"),
+    )),
+    "complexity": (_cmd_complexity, "complexity table, optionally checked", (
+        *_COMMON, _MAX_LEN,
+        _option("--check", action="store_true",
+                help="compute the oracle and fail on mismatch"),
+        _option("--csv"),
+    )),
+    "palindrome": (_cmd_palindrome, "palindrome complexity table", (
+        *_COMMON, _MAX_LEN,
+        _option("--check", action="store_true"),
+        _option("--csv"),
+    )),
+    "debruijn": (_cmd_debruijn, "de Bruijn graph at one length", (
+        *_COMMON, _LENGTH,
+        _option("--dot"),
+        _option("--json", dest="json_out",
+                help="write the graph as JSON to this path"),
+    )),
+    "repetitivity": (_cmd_repetitivity, "repetitivity table and verdicts", (
+        *_COMMON,
+        _option("--max-len", type=int, default=0),
+        _option("--alpha", help="also emit the alpha-repetitivity verdict"),
+        _HORIZON,
+        _option("--csv"),
+    )),
+    "bosh": (_cmd_bosh, "Boshernitzan condition verdict", (
+        *_COMMON, _HORIZON,
+        _option("--eta", type=int,
+                help="also estimate eta at this word length"),
+        _option("--prefix", type=int,
+                help="prefix length for the eta estimate"),
+        _option("--out"),
+    )),
+    "spectrum": (_cmd_spectrum, "finite sections and Lyapunov scans", (
+        *_COMMON,
+        _option("--q", default="const=0", help="diagonal map, e.g. a=0,x=1"),
+        _option("--p", default="const=1", help="off-diagonal map"),
+        _option("--size", type=int,
+                help="finite-section size (default 256); not with --energies"),
+        _option("--energies", help="lo:hi:steps grid"),
+        _option("--lyapunov", type=int, help="cocycle steps per energy"),
+        _option("--csv"),
+    )),
+    "presets": (_cmd_presets, "list the preset registry", ()),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The `toeplitz` parser, with every subparser, or only `command`'s.
+
+    A parser built for one subcommand lists all of them in its usage line,
+    so its usage and error text match the full parser's for any argv that
+    starts with that subcommand's name.
+    """
     parser = argparse.ArgumentParser(
         prog="toeplitz",
         description="simple Toeplitz subshifts: words, complexity, graphs, "
                     "repetitivity, Boshernitzan checks and Jacobi spectra",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="emit a prefix of the limit word")
-    _add_common(p)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("language", help="list all factors of one length")
-    _add_common(p)
-    p.add_argument("-L", "--length", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("complexity", help="complexity table, optionally checked")
-    _add_common(p)
-    p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--check", action="store_true",
-                   help="compute the oracle and fail on mismatch")
-    p.add_argument("--csv", default=None)
-
-    p = sub.add_parser("palindrome", help="palindrome complexity table")
-    _add_common(p)
-    p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--check", action="store_true")
-    p.add_argument("--csv", default=None)
-
-    p = sub.add_parser("debruijn", help="de Bruijn graph at one length")
-    _add_common(p)
-    p.add_argument("-L", "--length", type=int, required=True)
-    p.add_argument("--dot", default=None)
-    p.add_argument("--json", dest="json_out", default=None,
-                   help="write the graph as JSON to this path")
-
-    p = sub.add_parser("repetitivity", help="repetitivity table and verdicts")
-    _add_common(p)
-    p.add_argument("--max-len", type=int, default=0)
-    p.add_argument("--alpha", default=None,
-                   help="also emit the alpha-repetitivity verdict")
-    p.add_argument("--horizon", type=int, default=12)
-    p.add_argument("--csv", default=None)
-
-    p = sub.add_parser("bosh", help="Boshernitzan condition verdict")
-    _add_common(p)
-    p.add_argument("--horizon", type=int, default=12)
-    p.add_argument("--eta", type=int, default=None,
-                   help="also estimate eta at this word length")
-    p.add_argument("--prefix", type=int, default=None,
-                   help="prefix length for the eta estimate")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("spectrum", help="finite sections and Lyapunov scans")
-    _add_common(p)
-    p.add_argument("--q", default="const=0", help="diagonal map, e.g. a=0,x=1")
-    p.add_argument("--p", default="const=1", help="off-diagonal map")
-    p.add_argument("--size", type=int, default=None,
-                   help="finite-section size (default 256); not with --energies")
-    p.add_argument("--energies", default=None, help="lo:hi:steps grid")
-    p.add_argument("--lyapunov", type=int, default=None,
-                   help="cocycle steps per energy")
-    p.add_argument("--csv", default=None)
-
-    sub.add_parser("presets", help="list the preset registry")
-
+    # argparse names the action by its metavar in errors, where the full
+    # parser says `command`; only a one-subcommand parser needs it
+    metavar = None if command is None else "{%s}" % ",".join(_SUBCOMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _SUBCOMMANDS if command is None else (command,):
+        _, help_text, options = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "language": _cmd_language,
-    "complexity": _cmd_complexity,
-    "palindrome": _cmd_palindrome,
-    "debruijn": _cmd_debruijn,
-    "repetitivity": _cmd_repetitivity,
-    "bosh": _cmd_bosh,
-    "spectrum": _cmd_spectrum,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
+    handler, _, _ = _SUBCOMMANDS[args.command]
     if args.command == "presets":
-        return _cmd_presets(None, args)
+        return handler(None, args)
     try:
         with warnings.catch_warnings():
             # one line naming the command, not a source location
             warnings.showwarning = lambda message, *_, **__: print(
                 f"toeplitz {args.command}: warning: {message}", file=sys.stderr)
-            return _HANDLERS[args.command](_resolve(args), args)
+            return handler(_resolve(args), args)
     except (BudgetExceeded, HorizonExceeded, PrefixTooShort) as exc:
         print(f"toeplitz {args.command}: {exc}", file=sys.stderr)
         return RESOURCE_ERROR

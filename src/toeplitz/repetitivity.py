@@ -22,11 +22,14 @@ A subshift is alpha-repetitive when 0 < limsup_i (n_0...n_{kappa(m_i)-1}) /
 boundedness of prod_{j=m_i+1}^{kappa(m_i)-1} n_j.  `alpha_verdict` returns
 one `AlphaVerdict` record whose witness is that product sequence, so its
 verdict at alpha = 1 is the linear-repetitivity verdict.
+
+The two paths import their own layers where they start: the formula and the
+oracle table load `words` and `language`, `alpha_verdict` loads `fractions`
+and `verdicts`, so a launch that takes one path compiles none of the other's.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .coding import (
@@ -36,10 +39,7 @@ from .coding import (
     period_product,
     verdict_jumps,
 )
-from .errors import OutOfTheoremRange
-from .language import enclosing_words
-from .verdicts import Status, trend_of
-from .words import DEFAULT_BUDGET, Row, block_length, level
+from .errors import DEFAULT_BUDGET, OutOfTheoremRange
 
 
 def _bands(c: Coding) -> Iterator[tuple[int, int, int, int]]:
@@ -48,6 +48,8 @@ def _bands(c: Coding) -> Iterator[tuple[int, int, int, int]]:
     The band of m_i runs from start = |p(m_i)| - |p(m_i - 1)| + 1 up to the
     start of the next one.
     """
+    from .words import block_length
+
     for m, top, _ in jumps(c):
         p, p1 = block_length(c, m), block_length(c, m - 1)
         yield p - p1 + 1, p, p1, block_length(c, top - 1)
@@ -99,6 +101,9 @@ def _slide(host: bytes, length: int) -> tuple[dict[bytes, int], int]:
 def _least_window(c: Coding, length: int, window: int, budget: int) -> int:
     """`repetitivity_oracle`, starting with the hosts that cover `window`;
     any window up to R(length) will do, as the exactness test ignores it."""
+    from .language import enclosing_words
+    from .words import level
+
     while True:
         hosts = enclosing_words(c, window, budget)
         slides = [_slide(host, length) for host in hosts]
@@ -167,6 +172,10 @@ def alpha_verdict(c: Coding, alpha: Union[int, Fraction],
     up to bounded factors.  That gives alpha = 1 satisfied always and
     alpha > 1 violated (the limsup collapses to zero).
     """
+    from fractions import Fraction
+
+    from .verdicts import Status, trend_of
+
     alpha = Fraction(alpha)
     if alpha < 1:
         raise ValueError("alpha-repetitivity is defined for alpha >= 1")
@@ -192,6 +201,8 @@ def report(c: Coding, max_length: int,
     moves at most one band on.  R never decreases, so each length's
     oracle scan starts at the window where the previous one ended.
     """
+    from .words import Row
+
     rows, kappa_bands, window = [], _bands(c), 2
     band, ahead = None, next(kappa_bands)
     for length in range(1, max_length + 1):

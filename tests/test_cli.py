@@ -1,5 +1,7 @@
 """CLI behavior: outputs, exit codes, error context."""
 
+import argparse
+import ast
 import hashlib
 import json
 import subprocess
@@ -8,7 +10,7 @@ import sys
 import pytest
 from conftest import child_env
 
-from toeplitz import spectral
+from toeplitz import cli, spectral
 from toeplitz.cli import main
 
 
@@ -360,6 +362,62 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+def subcommands(parser: argparse.ArgumentParser) -> list:
+    """The names of the subparsers that `parser` holds."""
+    action, = (a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices)
+
+
+COMMANDS = subcommands(cli.build_parser())
+# a value for each required option, so that only the argv's fault is left
+REQUIRED = {"gen": ("--length", "1"), "language": ("-L", "1"),
+            "complexity": ("--max-len", "1"), "palindrome": ("--max-len", "1"),
+            "debruijn": ("-L", "1")}
+
+
+def parser_argvs() -> list:
+    """`--help`, no arguments, an unknown subcommand and an option before
+    the subcommand; then for each subcommand `-h`, a trailing extra
+    argument, a missing required option and a bad integer."""
+    argvs = [("--help",), (), ("nope",), ("--budget", "5", "gen")]
+    for name in COMMANDS:
+        given = (name, *REQUIRED.get(name, ()))
+        argvs += [(name, "-h"), (*given, "extra")]
+        if name in REQUIRED:
+            argvs.append((name,))
+        if name != "presets":
+            argvs.append((*given, "--budget", "x"))
+    return argvs
+
+
+PARSER_ARGVS = parser_argvs()
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS,
+                         ids=[" ".join(argv) or "-" for argv in PARSER_ARGVS])
+def test_help_and_errors_match_the_full_parser(monkeypatch, capsys, argv):
+    """`main` builds one subparser when the argv starts with a subcommand,
+    and prints the bytes that the parser with all of them prints."""
+    monkeypatch.setenv("COLUMNS", "80")
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda *a: built.append(build(*a)) or built[-1])
+
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        return exc.value.code, *capsys.readouterr()
+
+    code, out, err = outcome(main)
+    assert (code, out, err) == outcome(build().parse_args)
+    one = argv and argv[0] in COMMANDS
+    assert subcommands(built[0]) == ([argv[0]] if one else COMMANDS)
+    if code == 2 and not one:
+        # a missing or unknown subcommand is `command`, its dest
+        assert "argument command: " in err or err.endswith(": command\n")
+
+
 class TestReports:
     def test_complexity_csv_contents(self, tmp_path, capsys):
         target = tmp_path / "c.csv"
@@ -504,7 +562,8 @@ def test_stdout_bytes_are_pinned(capsys, argv, digest):
 
 # each command and the modules it may load: the package, `toeplitz.*` and the
 # tracked outside modules below
-TRACKED = ("numpy", "scipy", "dataclasses", "inspect", "fractions", "ctypes")
+TRACKED = ("numpy", "scipy", "dataclasses", "inspect", "fractions", "ctypes",
+           "json")
 IMPORTS = {
     "presets": (["presets"], ""),
     "gen": (["gen", "--preset", "grigorchuk", "--length", "16"], "words"),
@@ -515,17 +574,40 @@ IMPORTS = {
     "palindrome": (["palindrome", "--preset", "grigorchuk", "--max-len", "8",
                     "--check"], "words language debruijn"),
     "debruijn": (["debruijn", "--preset", "grigorchuk", "-L", "3"],
-                 "words language debruijn"),
+                 "words language debruijn json"),
     "repetitivity": (["repetitivity", "--preset", "grigorchuk", "--alpha", "1"],
-                     "words language verdicts repetitivity fractions"),
+                     "verdicts repetitivity fractions json"),
+    "repetitivity-max-len": (["repetitivity", "--preset", "grigorchuk",
+                              "--max-len", "8"],
+                             "words language repetitivity"),
     "bosh": (["bosh", "--preset", "grigorchuk", "--eta", "2", "--prefix", "64"],
-             "words language verdicts boshernitzan fractions"),
+             "words language verdicts boshernitzan fractions json"),
+    "bosh-no-eta": (["bosh", "--preset", "grigorchuk"],
+                    "verdicts boshernitzan json"),
     "spectrum-lyapunov": (["spectrum", "--preset", "grigorchuk",
                            "--energies=-3:6:5", "--lyapunov", "64"],
                           "words spectral"),
     "spectrum-size": (["spectrum", "--preset", "grigorchuk", "--size", "4"],
                       "words spectral ctypes"),
 }
+
+
+def tracked_modules(script: str, *args: str) -> list:
+    """Run `script` fresh; the `[exit code, modules]` it leaves, where the
+    modules are the package's and the tracked ones loaded when it ends."""
+    proc = run_fresh(
+        "import runpy, sys\n"
+        "code = 0\n"
+        "try:\n"
+        f"{script}"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(repr([code, sorted(m for m in sys.modules\n"
+        f"    if m in {TRACKED!r} or m.split('.')[0] == 'toeplitz')]),\n"
+        "    file=sys.stderr)\n",
+        *args)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return ast.literal_eval(proc.stderr.splitlines()[-1])
 
 
 class TestImports:
@@ -543,23 +625,14 @@ class TestImports:
     def test_each_command_loads_only_its_modules(self, label):
         argv, own = IMPORTS[label]
         if label == "spectrum-size" and spectral._dsterf() is None:
-            own += " numpy"  # the dense fallback, where no `dsterf` is bundled
-        if "numpy" in own.split():
-            own += " inspect"  # numpy's own start-up imports it
-        proc = run_fresh(
-            "import json, runpy, sys\n"
-            "sys.argv[0] = 'toeplitz'\n"
-            "try:\n"
-            "    runpy.run_module('toeplitz', run_name='__main__')\n"
-            "except SystemExit as exc:\n"
-            "    code = exc.code\n"
-            "print(json.dumps([code, sorted(m for m in sys.modules\n"
-            f"    if m in {TRACKED!r} or m.split('.')[0] == 'toeplitz')]),\n"
-            "    file=sys.stderr)\n",
-            *argv)
-        code, loaded = json.loads(proc.stderr.splitlines()[-1])
-        assert code == 0, proc.stderr
+            # the dense fallback, where no `dsterf` is bundled, loads numpy
+            # and what numpy's own start-up imports (`inspect`, for one)
+            own += " " + " ".join(tracked_modules("    import numpy\n")[1])
+        code, loaded = tracked_modules(
+            "    sys.argv[0] = 'toeplitz'\n"
+            "    runpy.run_module('toeplitz', run_name='__main__')\n", *argv)
+        assert code == 0, loaded
         base = ["toeplitz", "cli", "errors", "presets", "coding"]
-        assert loaded == sorted(
+        assert loaded == sorted({
             m if m == "toeplitz" or m in TRACKED else f"toeplitz.{m}"
-            for m in [*base, *own.split()])
+            for m in [*base, *own.split()]})
