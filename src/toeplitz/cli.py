@@ -194,6 +194,13 @@ def _cmd_debruijn(c: Coding, args) -> int:
     return 0
 
 
+def _charge_horizon(args) -> None:
+    """One budget unit per kappa jump of a verdict, before the walk."""
+    if args.horizon > args.budget:
+        raise BudgetExceeded(f"--horizon: a horizon of {args.horizon} kappa "
+                             f"jumps exceeds the budget of {args.budget}")
+
+
 def _verdict_payload(v) -> dict:
     """A `verdicts.Verdict` as JSON-ready data."""
     return {
@@ -222,6 +229,7 @@ def _cmd_repetitivity(c: Coding, args) -> int:
         if alpha < 1:
             raise ValueError("--alpha: alpha-repetitivity is defined for "
                              f"alpha >= 1, got {args.alpha!r}")
+        _charge_horizon(args)
     code = 0
     if args.max_len:
         code = _formula_vs_oracle(
@@ -245,6 +253,7 @@ def _cmd_bosh(c: Coding, args) -> int:
     if (args.eta is None) != (args.prefix is None):
         raise ValueError("--eta: requires --prefix M" if args.prefix is None
                          else "--prefix: requires --eta L")
+    _charge_horizon(args)
     bv = boshernitzan.bosh_verdict(c, args.horizon)
     payload = _verdict_payload(bv)
     payload["liminf_criterion"] = (
@@ -356,8 +365,9 @@ _COMMON = (
     _option("--budget", type=int, default=DEFAULT_BUDGET,
             help="symbol budget for materialized words, "
                  "the states of the --check oracles, "
-                 "finite-section matrix entries and the "
-                 "energies of a spectrum --energies grid"),
+                 "finite-section matrix entries, the "
+                 "energies of a spectrum --energies grid and "
+                 "the kappa jumps of a --horizon"),
     _option("--jobs", type=int, default=1,
             help="accepted for compatibility; has no effect"),
 )
@@ -467,7 +477,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ToeplitzError, ValueError, KeyError, IndexError) as exc:
         print(f"toeplitz {args.command}: {exc}", file=sys.stderr)
         return USAGE_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -2,10 +2,14 @@
 
 import argparse
 import ast
+import gc
 import hashlib
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 from conftest import child_env
@@ -210,6 +214,36 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert "horizon 30 exceeds the 19 kappa jumps" in err
         assert "512 materialized entries" in err
+
+    @pytest.mark.parametrize("command, rest", [
+        ("bosh", ()),
+        ("repetitivity", ("--alpha", "1")),
+    ], ids=["bosh", "repetitivity-alpha"])
+    def test_horizon_is_charged_to_the_budget(self, capsys, command, rest):
+        code, out, err = run(capsys, command, "--preset", "grigorchuk", *rest,
+                             "--horizon", "100000", "--budget", "1000")
+        assert code == 3 and out == ""
+        assert err == (f"toeplitz {command}: --horizon: a horizon of 100000 "
+                       "kappa jumps exceeds the budget of 1000\n")
+
+    def test_huge_horizon_exits_before_the_walk(self, capsys):
+        def walking(*_):
+            raise TimeoutError("the walk to --horizon 10**21 started")
+
+        # the alarm ends a walk that the budget failed to stop
+        previous = signal.signal(signal.SIGALRM, walking)
+        signal.alarm(2)
+        try:
+            start = time.perf_counter()
+            code, out, err = run(capsys, "bosh", "--coding",
+                                 "a:2 | b:3 c:4 d:2 e:5",
+                                 "--horizon", str(10**21))
+            elapsed = time.perf_counter() - start
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert elapsed < 1
+        assert code == 3 and out == "" and "--horizon" in err
 
     def test_zero_jobs_is_usage_error(self, capsys):
         code, out, err = run(capsys, "gen", "--preset", "grigorchuk",
@@ -636,3 +670,77 @@ class TestImports:
         assert loaded == sorted({
             m if m == "toeplitz" or m in TRACKED else f"toeplitz.{m}"
             for m in [*base, *own.split()]})
+
+
+# one argv per exit status of a launch: output, argparse's usage error and a
+# budget error
+ENTRY_ARGVS = [
+    (0, ("gen", "--preset", "grigorchuk", "--length", "16")),
+    (2, ("gen", "--preset", "grigorchuk", "--length", "x")),
+    (3, ("bosh", "--preset", "grigorchuk", "--horizon", "100000",
+         "--budget", "1000")),
+]
+
+
+def in_process(capsys, argv) -> tuple:
+    """`main`'s exit status, stdout and stderr, whether it returns or exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err.encode()
+
+
+def buffered_env() -> dict:
+    """`child_env` with stdout block-buffered, as a pipe is by default, so
+    that output not flushed at exit is lost."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+class TestProcessEntry:
+    """`python -m toeplitz` freezes the collector at exit; `main` never does."""
+
+    @pytest.mark.parametrize("status, argv", ENTRY_ARGVS,
+                             ids=[str(s) for s, _ in ENTRY_ARGVS])
+    def test_main_leaves_the_collector_as_found(self, capsys, status, argv):
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert in_process(capsys, argv)[0] == status
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_atexit_handlers_still_run(self):
+        proc = run_fresh(
+            "import atexit, runpy, sys\n"
+            "atexit.register(print, 'atexit ran')\n"
+            "sys.argv[0] = 'toeplitz'\n"
+            "runpy.run_module('toeplitz', run_name='__main__')\n",
+            "presets")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.splitlines()[-2:] == ["liuqu", "atexit ran"]
+
+    @pytest.mark.parametrize("status, argv", ENTRY_ARGVS,
+                             ids=[str(s) for s, _ in ENTRY_ARGVS])
+    def test_launch_matches_main(self, monkeypatch, capsys, status, argv):
+        # argparse wraps its usage to COLUMNS, here and in the child
+        monkeypatch.setenv("COLUMNS", "80")
+        proc = subprocess.run([sys.executable, "-m", "toeplitz", *argv],
+                              capture_output=True, check=False,
+                              env=dict(buffered_env(), COLUMNS="80"))
+        launched = proc.returncode, proc.stdout, proc.stderr
+        assert launched == in_process(capsys, argv)
+        assert launched[0] == status
+
+    def test_failed_flush_at_exit_is_120(self):
+        # stdout is a pipe whose reader is gone; the output waits in the
+        # buffer until the interpreter's own flush at exit
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "toeplitz", "presets"],
+                                  stdout=writer, stderr=subprocess.PIPE,
+                                  check=False, env=buffered_env())
+        finally:
+            os.close(writer)
+        assert proc.returncode == 120 and b"BrokenPipeError" in proc.stderr
