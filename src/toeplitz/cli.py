@@ -328,7 +328,7 @@ def _cmd_spectrum(c: Coding, args) -> int:
             raise bad
         n = 4096 if args.lyapunov is None else args.lyapunov
         try:
-            estimates = spectral.lyapunov_over_grid(c, coeff, grid, n, args.budget)
+            values = spectral.lyapunov_over_grid(c, coeff, grid, n, args.budget)
         except OverflowError:
             raise ValueError(
                 "--energies: the cocycle overflows a float at these energies "
@@ -336,7 +336,8 @@ def _cmd_spectrum(c: Coding, args) -> int:
                 "--p/--q values"
             ) from None
         _write_csv(args.csv, "E,lyapunov",
-                   [f"{repr(e.energy)},{repr(e.value)}" for e in estimates])
+                   [f"{repr(E)},{repr(value)}"
+                    for E, value in zip(grid, values)])
         return 0
     size = 256 if args.size is None else args.size
     eigenvalues = spectral.finite_section_spectrum(c, coeff, size, args.budget)

@@ -361,15 +361,3 @@ def period_product(c: Coding, lo: int, hi: int) -> int:
     """n_lo * ... * n_{hi-1}; 1 for an empty range."""
     return math.prod(c.period(j) for j in range(lo, hi))
 
-
-def log_scaled_length(c: Coding, k: int) -> float:
-    """log(n_0 * ... * n_k), stable even when the product is astronomically big.
-
-    The logs are added left to right in plain floats, the same bits on every
-    Python: `sum` compensates its rounding from 3.12 on, which would change
-    the printed log ratios.
-    """
-    total = 0.0
-    for j in range(k + 1):
-        total += math.log(c.period(j))
-    return total

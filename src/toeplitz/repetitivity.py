@@ -30,15 +30,10 @@ and `verdicts`, so a launch that takes one path compiles none of the other's.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, NamedTuple, Optional, Union
 
-from .coding import (
-    Coding,
-    jumps,
-    log_scaled_length,
-    period_product,
-    verdict_jumps,
-)
+from .coding import Coding, jumps, period_product, verdict_jumps
 from .errors import DEFAULT_BUDGET, OutOfTheoremRange
 
 
@@ -155,11 +150,22 @@ class AlphaVerdict(NamedTuple):
 
 
 def _witness_samples(c: Coding, jumps):
-    log_ratios, products, gaps = [], [], []
+    """The witness products, kappa gaps and log ratios along the jumps.
+
+    `logs[k]` is log(n_0 * ... * n_k), stable even when the product is
+    astronomically big.  One running list serves every jump (m < kappa(m)),
+    so the walk is linear in the horizon; its logs are added left to right
+    in plain floats, the same bits on every Python, where `sum` compensates
+    its rounding from 3.12 on and would change the printed log ratios.
+    """
+    log_ratios, products, gaps, logs = [], [], [], []
     for m, top, _ in jumps:
         products.append(period_product(c, m + 1, top))
         gaps.append(top - m)
-        log_ratios.append(log_scaled_length(c, top - 1) / log_scaled_length(c, m))
+        while len(logs) < top:
+            logs.append((logs[-1] if logs else 0.0)
+                        + math.log(c.period(len(logs))))
+        log_ratios.append(logs[top - 1] / logs[m])
     return tuple(log_ratios), tuple(products), tuple(gaps)
 
 

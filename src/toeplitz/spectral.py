@@ -16,9 +16,9 @@ the letters at k+1 and k+2.  Two walks compute those products:
 `transfer_cocycle` multiplies `TransferMatrix` values, exactly when the
 coefficients and E are Fractions, and `lyapunov_over_grid` walks an energy
 grid one energy at a time, carrying the product's four entries as scalar
-Python floats, and turns them into Lyapunov estimates.  The tests hold the
-float walk to the exact one, and bit for bit to a numpy walk over the whole
-grid.
+Python floats, and returns one Lyapunov estimate (1/n) log ||cocycle(n)||
+per energy, a float.  The tests hold the float walk to the exact one, and
+bit for bit to a numpy walk over the whole grid.
 
 Finite sections are truncations to positions 0..N-1 of the one-sided
 representative word with zero boundary conditions: real symmetric
@@ -160,12 +160,6 @@ def transfer_cocycle(c: Coding, coeff: CoefficientMap, E: Number, n: int,
     return out
 
 
-class LyapunovEstimate(NamedTuple):
-    energy: float
-    value: float
-    samples: tuple[tuple[int, float], ...]  # (n, estimate) at n/4, n/2, n
-
-
 RENORM_EVERY = 32
 
 
@@ -296,20 +290,22 @@ def energy_grid(lo: float, hi: float, steps: int) -> list[float]:
 
 def lyapunov_over_grid(c: Coding, coeff: CoefficientMap,
                        energies: Sequence[Number], n: int,
-                       budget: int = DEFAULT_BUDGET) -> list[LyapunovEstimate]:
-    """(1/k) log ||cocycle(k)|| at k = n/4, n/2, n for every energy.
+                       budget: int = DEFAULT_BUDGET) -> list[float]:
+    """(1/n) log ||cocycle(n)|| for every energy, in grid order.
 
     The walk numbers the letter pairs its steps read once, one byte a
     step, and then takes the energies one at a time, each with a table of
-    ((E - q1) / p2, -p1 / p2) per pair, so only the estimates grow with the
-    grid.  Every step matrix has bottom row (1, 0), so the product's columns
-    (a, x) and (b, y) follow the two-term recurrences a, x <- s a + sb x, a
-    on scalar floats.  Every RENORM_EVERY steps the product is rescaled by
-    its largest entry with the log kept apart, so n ~ 2^16 stays inside
-    float range; where a checkpoint falls on the same step, the rescaling
-    comes first.  An energy's result does not depend on the rest of the
-    grid.  A value that is not finite, because an entry or a checkpoint norm
-    overflowed a float, raises OverflowError at the first such energy.
+    ((E - q1) / p2, -p1 / p2) per pair, so only the n-step values grow with
+    the grid: one float each.  Every step matrix has bottom row (1, 0), so
+    the product's columns (a, x) and (b, y) follow the two-term recurrences
+    a, x <- s a + sb x, a on scalar floats.  Every RENORM_EVERY steps from
+    step 0 the product is rescaled by its largest entry with the log kept
+    apart, so n ~ 2^16 stays inside float range; at n itself the rescaling,
+    if it falls there, comes before the norm.  A walk of length k thus runs
+    the IEEE operations of the first k steps of any longer walk, and an
+    energy's value does not depend on the rest of the grid.  A value that
+    is not finite, because an entry or the final norm overflowed a float,
+    raises OverflowError at the first such energy.
 
     A launch at n = 4096 on a shared 2-core host was faster than one that
     imports numpy and walks the whole grid with it, up to somewhere between
@@ -330,14 +326,12 @@ def lyapunov_over_grid(c: Coding, coeff: CoefficientMap,
     p, q = coeff.p_values, coeff.q_values
     pairs = [(float(q[first]), float(p[second]),
               -float(p[first]) / float(p[second])) for first, second in kind_of]
-    checkpoints = sorted({max(1, n // 4), max(1, n // 2), n})
-    ends = sorted([*range(RENORM_EVERY, n + 1, RENORM_EVERY),
-                   *(k for k in checkpoints if k % RENORM_EVERY)])
-    estimates = []
+    ends = [*range(RENORM_EVERY, n, RENORM_EVERY), n]
+    values = []
     for E in grid:
         steps = [((E - q1) / p2, sb) for q1, p2, sb in pairs]
         a, b, x, y = 1.0, 0.0, 0.0, 1.0  # top row (a, b), bottom row (x, y)
-        log_scale, samples, start = 0.0, [], 0
+        log_scale, start = 0.0, 0
         for stop in ends:
             for s, sb in map(steps.__getitem__, kinds[start:stop]):
                 a, x = s * a + sb * x, a
@@ -347,12 +341,10 @@ def lyapunov_over_grid(c: Coding, coeff: CoefficientMap,
                 if scale > 0:  # not for an all-zero product, nor a NaN scale
                     a, b, x, y = a / scale, b / scale, x / scale, y / scale
                     log_scale += math.log(scale)
-            if stop in checkpoints:
-                norm = TransferMatrix(a, b, x, y).operator_norm()
-                log_norm = math.log(max(norm, 1e-300))
-                samples.append((stop, (log_scale + log_norm) / stop))
             start = stop
-        if not math.isfinite(samples[-1][1]):
+        norm = TransferMatrix(a, b, x, y).operator_norm()
+        value = (log_scale + math.log(max(norm, 1e-300))) / n
+        if not math.isfinite(value):
             raise OverflowError("the cocycle overflows a float")
-        estimates.append(LyapunovEstimate(E, samples[-1][1], tuple(samples)))
-    return estimates
+        values.append(value)
+    return values

@@ -7,8 +7,7 @@ from itertools import islice
 
 from toeplitz.coding import jumps, stabilization_index
 from toeplitz.language import language
-from toeplitz.spectral import (RENORM_EVERY, LyapunovEstimate, TransferMatrix,
-                               _warn_if_degenerate)
+from toeplitz.spectral import RENORM_EVERY, TransferMatrix, _warn_if_degenerate
 from toeplitz.words import DEFAULT_BUDGET, block_length, level_at, word_prefix
 
 
@@ -105,7 +104,7 @@ def cover_length(eigenvalues, delta: float) -> float:
 
 
 def numpy_lyapunov_over_grid(c, coeff, energies, n: int,
-                             budget: int = DEFAULT_BUDGET) -> list[LyapunovEstimate]:
+                             budget: int = DEFAULT_BUDGET) -> list[float]:
     """The reference for `spectral.lyapunov_over_grid`: one walk over the
     whole grid, with the four entries of the running product as numpy
     arrays indexed by energy, rescaled with `np.max` and
@@ -124,7 +123,6 @@ def numpy_lyapunov_over_grid(c, coeff, energies, n: int,
     if not grid:
         return []
     word = word_prefix(c, n + 2, budget)
-    checkpoints = sorted({max(1, n // 4), max(1, n // 2), n})
     e_array = np.array(grid)
     steps = {}  # letter pair -> ((E - q1) / p2 over the grid, -p1 / p2)
     for first, second in set(zip(word[1:], word[2:])):
@@ -133,7 +131,6 @@ def numpy_lyapunov_over_grid(c, coeff, energies, n: int,
     ma, mb = np.ones_like(e_array), np.zeros_like(e_array)
     mc, md = np.zeros_like(e_array), np.ones_like(e_array)
     log_scale = [0.0] * len(grid)
-    samples: list[list[tuple[int, float]]] = [[] for _ in grid]
     # overflow shows up as a value that is not finite, checked at the end
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
@@ -147,12 +144,11 @@ def numpy_lyapunov_over_grid(c, coeff, energies, n: int,
                 scales = scale.tolist()
                 for i in np.flatnonzero(positive).tolist():
                     log_scale[i] += math.log(scales[i])
-            if k + 1 in checkpoints:
-                rows = zip(ma.tolist(), mb.tolist(), mc.tolist(), md.tolist())
-                for i, entries in enumerate(rows):
-                    norm = TransferMatrix(*entries).operator_norm()
-                    log_norm = math.log(max(norm, 1e-300))
-                    samples[i].append((k + 1, (log_scale[i] + log_norm) / (k + 1)))
-    if not all(math.isfinite(s[-1][1]) for s in samples):
+    values = []
+    rows = zip(ma.tolist(), mb.tolist(), mc.tolist(), md.tolist())
+    for logged, entries in zip(log_scale, rows):
+        norm = TransferMatrix(*entries).operator_norm()
+        values.append((logged + math.log(max(norm, 1e-300))) / n)
+    if not all(map(math.isfinite, values)):
         raise OverflowError("the cocycle overflows a float")
-    return [LyapunovEstimate(E, s[-1][1], tuple(s)) for E, s in zip(grid, samples)]
+    return values

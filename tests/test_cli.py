@@ -572,8 +572,20 @@ STDOUT_DIGESTS = [
     (("spectrum", "--preset", "grigorchuk", "--q", "a=0,x=1,y=2,z=3",
       "--energies=-3:6:121", "--lyapunov", "4096"),
      "cd74cfbc3cb8b023739f5da78b51ea314ea58dc9dc7daf9cf443dd15d4063bdc"),
-    # varied p, so the off-diagonal ratio -p1 / p2 is not -1, and none of
-    # the checkpoints 500, 1000 and 2000 ends a rescaling block
+    # the walk's edge cases: one step and no rescaling, a lone block one step
+    # short of the first rescaling, and one step past it
+    (("spectrum", "--preset", "grigorchuk", "--q", "a=0,x=1,y=2,z=3",
+      "--energies=-3:6:31", "--lyapunov", "1"),
+     "f48dd60b9ed1c94ef59e8c535550da5e57e00fd325c716f85f1ddef99fd93191"),
+    (("spectrum", "--preset", "grigorchuk", "--q", "a=0,x=1,y=2,z=3",
+      "--energies=-3:6:31", "--lyapunov", "31"),
+     "6a18f729669280729a78bbe2080128ac6ef1d682616a1894fd636cfcc1ec6d86"),
+    (("spectrum", "--preset", "grigorchuk", "--q", "a=0,x=1,y=2,z=3",
+      "--energies=-3:6:31", "--lyapunov", "33"),
+     "d4ac353b7ddbc5afa24c5ca443232eae9645d1df25eeecb4474af3c3d7398e05"),
+    # varied p, so the off-diagonal ratio -p1 / p2 is not -1, and n = 2000
+    # is no multiple of RENORM_EVERY, so the walk ends in a short block that
+    # no rescaling follows
     (("spectrum", "--preset", "l-grigorchuk(1,3)", "--q", "a=0,x=1,y=2,z=3",
       "--p", "a=1,x=2,y=0.5,z=1.5", "--energies=-4:7:61", "--lyapunov", "2000"),
      "1fb2c2da409fe31b097015c8698d8e9ef136f96779aaeb79675466f6de8664e2"),

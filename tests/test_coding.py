@@ -20,7 +20,6 @@ from toeplitz.coding import (
     eventual_alphabet,
     jumps,
     kappa,
-    log_scaled_length,
     normalize,
     stabilization_index,
     tail_alphabet,
@@ -214,10 +213,13 @@ class TestMSequence:
                 assert m_sequence(c, i + 1) == j
 
     def test_log_scaled_length_adds_left_to_right(self, liu_qu):
-        # the same bits on every Python; `sum` compensates from 3.12 on
-        logs = [math.log(liu_qu.period(j)) for j in range(64)]
-        assert [log_scaled_length(liu_qu, k) for k in range(64)] == \
-            list(accumulate(logs))
+        # the log ratios' log(n_0 * ... * n_k) have the same bits on every
+        # Python; `sum` compensates from 3.12 on
+        taken, _ = verdict_jumps(liu_qu, 19)
+        logs = list(accumulate(math.log(liu_qu.period(j))
+                               for j in range(taken[-1][1])))
+        assert alpha_verdict(liu_qu, 1, 19).log_ratios == \
+            tuple(logs[top - 1] / logs[m] for m, top, _ in taken)
 
     def test_cycle_detector_bound(self, battery):
         for c in battery:

@@ -23,8 +23,6 @@ ENTRY_POINTS = {  # name -> why it stays although no other code in src/ uses it
 }
 
 UNREAD_FIELDS = {  # Class.field -> why it stays although src/ never reads it
-    "LyapunovEstimate.samples": "tests hold the n/4 and n/2 checkpoints to "
-                                "the exact cocycle",
     "Row.growth": "the CSV writer reads the cells by position, up to the "
                   "width its command asks for",
 }

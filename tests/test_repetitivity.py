@@ -1,5 +1,6 @@
 """Repetitivity formula vs gap-scan oracle, and alpha-repetitivity verdicts."""
 
+import signal
 from fractions import Fraction
 
 import pytest
@@ -194,6 +195,21 @@ class TestAlphaVerdicts:
         assert av.status is Status.INCONCLUSIVE
         assert av.kind == "horizon-estimate"
         assert len(av.log_ratios) == 8 and av.trend is not None
+
+    def test_long_horizon_is_linear(self, grig):
+        def walking(*_):
+            raise TimeoutError("alpha_verdict at horizon 4000 took over 2 s")
+
+        # the walk is linear in the horizon, well under a second here; one
+        # quadratic in it takes several
+        previous = signal.signal(signal.SIGALRM, walking)
+        signal.alarm(2)
+        try:
+            av = alpha_verdict(grig, 1, 4000)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(av.log_ratios) == 4000 and av.status is Status.SATISFIED
 
 
 class TestSquaringPeriods:
