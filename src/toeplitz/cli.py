@@ -1,9 +1,11 @@
 """Command-line front door wiring every module together.
 
 Exit codes: 0 success, 1 formula/oracle mismatch, 2 usage error,
-3 budget or horizon exhaustion.  All outputs are deterministic: words are
-sorted, JSON keys are sorted and floats use repr.  Every scan runs serially;
-the worker-count flag is accepted for compatibility and has no effect.
+3 budget or horizon exhaustion, 120 when the reader of stdout leaves early.
+Every command hands `_write` its output as lines, tables as they are made.
+All outputs are deterministic: words are sorted, JSON keys are sorted and
+floats use repr.  Every scan runs serially; the worker-count flag is
+accepted for compatibility and has no effect.
 
 A launch whose first argument names a subcommand builds only that
 subcommand's parser.  `--help`, no arguments, an unknown name or an option
@@ -34,9 +36,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import warnings
-from typing import Optional, Sequence
+from itertools import chain, islice
+from typing import Iterable, Optional, Sequence
 
 from .coding import Coding
 from .errors import (
@@ -51,6 +55,7 @@ from .presets import PRESET_NAMES, parse_coding_spec, preset
 CHECK_MISMATCH = 1
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
+STDOUT_CLOSED = 120  # the status of a failed flush at interpreter exit
 
 
 def _resolve(args: argparse.Namespace) -> Coding:
@@ -80,29 +85,35 @@ def _resolve(args: argparse.Namespace) -> Coding:
     return coding
 
 
-def _write(path: Optional[str], text: str) -> None:
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        try:
-            fh = open(path, "w", encoding="utf-8")
-        except OSError as exc:
-            raise ValueError(f"cannot write {path}: {exc.strerror}") from None
-        with fh:
-            fh.write(text)
+def _write(path: Optional[str], lines: Iterable[str]) -> None:
+    """Write each line and a newline to `path` (stdout for None or `-`),
+    4096 lines a `write` call: never the whole text at once, nor one system
+    call per line on an unbuffered stdout."""
+    try:
+        out = (sys.stdout if path in (None, "-")
+               else open(path, "w", encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+    lines = iter(lines)
+    try:
+        while chunk := list(islice(lines, 4096)):
+            out.write("\n".join(chunk) + "\n")
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def _emit_json(payload, path: Optional[str]) -> None:
     import json
 
-    _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write(path, json.dumps(payload, sort_keys=True, indent=2).splitlines())
 
 
 def _cmd_gen(c: Coding, args) -> int:
     from .words import word_prefix
 
     prefix = word_prefix(c, args.length, args.budget)
-    _write(args.out, c.alphabet.render(prefix) + "\n")
+    _write(args.out, [c.alphabet.render(prefix)])
     return 0
 
 
@@ -115,7 +126,7 @@ def _cmd_language(c: Coding, args) -> int:
         _emit_json({"L": args.length, "count": len(rendered), "words": rendered},
                    args.out)
     else:
-        _write(args.out, "".join(f"{w}\n" for w in rendered))
+        _write(args.out, rendered)
     return 0
 
 
@@ -123,20 +134,22 @@ def _csv_cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _write_csv(path: Optional[str], header: str, lines) -> None:
-    _write(path, "\n".join([header, *lines]) + "\n")
-
-
 def _formula_vs_oracle(args, rows, width: int = 3) -> int:
     """Write the table, the first `width` fields of each `words.Row` under
-    their names (`length` as L); report every row whose formula and oracle
-    differ."""
+    their names (`length` as L), as the rows come; then report every row
+    whose formula and oracle differ."""
     from .words import Row
 
-    _write_csv(args.csv, ",".join(("L", *Row._fields[1:width])),
-               [",".join(map(_csv_cell, r[:width])) for r in rows])
-    bad = [r for r in rows
-           if None not in (r.formula, r.oracle) and r.oracle != r.formula]
+    bad = []
+
+    def lines():
+        yield ",".join(("L", *Row._fields[1:width]))
+        for r in rows:
+            if None not in (r.formula, r.oracle) and r.oracle != r.formula:
+                bad.append(r)
+            yield ",".join(map(_csv_cell, r[:width]))
+
+    _write(args.csv, lines())
     for r in bad:
         print(f"mismatch at L={r.length}: formula {r.formula} != "
               f"oracle {r.oracle}", file=sys.stderr)
@@ -186,7 +199,7 @@ def _cmd_debruijn(c: Coding, args) -> int:
 
     graph = debruijn.build_graph(c, args.length, args.budget)
     if args.dot:
-        _write(args.dot, debruijn.to_dot(graph))
+        _write(args.dot, debruijn.to_dot(graph).splitlines())
     if args.json_out:
         _emit_json(_graph_payload(graph), args.json_out)
     if not args.dot and not args.json_out:
@@ -335,20 +348,18 @@ def _cmd_spectrum(c: Coding, args) -> int:
                 "and --p/--q coefficients; use smaller energies or other "
                 "--p/--q values"
             ) from None
-        _write_csv(args.csv, "E,lyapunov",
-                   [f"{repr(E)},{repr(value)}"
-                    for E, value in zip(grid, values)])
+        _write(args.csv, chain(["E,lyapunov"], (
+            f"{E!r},{value!r}" for E, value in zip(grid, values))))
         return 0
     size = 256 if args.size is None else args.size
     eigenvalues = spectral.finite_section_spectrum(c, coeff, size, args.budget)
-    _write_csv(args.csv, "j,eigenvalue",
-               [f"{j},{repr(ev)}" for j, ev in enumerate(eigenvalues)])
+    _write(args.csv, chain(["j,eigenvalue"], (
+        f"{j},{ev!r}" for j, ev in enumerate(eigenvalues))))
     return 0
 
 
 def _cmd_presets(_c, _args) -> int:
-    for name in PRESET_NAMES:
-        print(name)
+    _write(None, PRESET_NAMES)
     return 0
 
 
@@ -464,14 +475,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     args = build_parser(command).parse_args(argv)
     handler, _, _ = _SUBCOMMANDS[args.command]
-    if args.command == "presets":
-        return handler(None, args)
     try:
         with warnings.catch_warnings():
             # one line naming the command, not a source location
             warnings.showwarning = lambda message, *_, **__: print(
                 f"toeplitz {args.command}: warning: {message}", file=sys.stderr)
-            return handler(_resolve(args), args)
+            return handler(
+                None if args.command == "presets" else _resolve(args), args)
+    except BrokenPipeError:
+        # the reader is gone; what is still buffered, and the flush at
+        # interpreter exit, go to the null device instead of failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"toeplitz {args.command}: stdout closed", file=sys.stderr)
+        return STDOUT_CLOSED
     except (BudgetExceeded, HorizonExceeded, PrefixTooShort) as exc:
         print(f"toeplitz {args.command}: {exc}", file=sys.stderr)
         return RESOURCE_ERROR

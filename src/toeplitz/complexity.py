@@ -23,6 +23,8 @@ exact (Python ints).
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .coding import Coding
 from .language import factor_counts
 from .words import DEFAULT_BUDGET, Level, Row, bands, level
@@ -59,8 +61,11 @@ def growth_formula(c: Coding, length: int) -> int:
 
 
 def profile(c: Coding, max_length: int, with_oracle: bool = False,
-            budget: int = DEFAULT_BUDGET) -> list[Row]:
-    """Per-L table of formula, (optionally) oracle counts and growth."""
+            budget: int = DEFAULT_BUDGET) -> Iterator[Row]:
+    """Per-L rows of formula, (optionally) oracle counts and growth, made as
+    they are read.  A coding too short for the table and the oracle's
+    budget fail here, before the first row."""
+    level(c, max_length)
     counts = factor_counts(c, max_length, budget) if with_oracle else None
-    return [Row(L, band_complexity(lv, L), None if counts is None else counts[L],
-                band_growth(lv, L)) for L, lv in bands(c, max_length)]
+    return (Row(L, band_complexity(lv, L), None if counts is None else counts[L],
+                band_growth(lv, L)) for L, lv in bands(c, max_length))

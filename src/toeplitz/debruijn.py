@@ -13,7 +13,7 @@ palindromes, which yields a closed palindrome-count formula that
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .coding import Alphabet, Coding, tail_alphabet
 from .language import language, palindrome_counts
@@ -95,11 +95,13 @@ def palindrome_formula(c: Coding, length: int) -> int:
 
 
 def palindrome_profile(c: Coding, max_length: int, with_oracle: bool = False,
-                       budget: int = DEFAULT_BUDGET) -> list[Row]:
-    """Per-L palindrome counts by formula and (optionally) by the eertree."""
+                       budget: int = DEFAULT_BUDGET) -> Iterator[Row]:
+    """Per-L palindrome counts by formula and (optionally) by the eertree,
+    made as they are read; fails as `complexity.profile` does."""
+    level(c, max_length)
     counts = palindrome_counts(c, max_length, budget) if with_oracle else None
-    return [Row(L, band_palindromes(lv, L), None if counts is None else counts[L])
-            for L, lv in bands(c, max_length) if L]
+    return (Row(L, band_palindromes(lv, L), None if counts is None else counts[L])
+            for L, lv in bands(c, max_length) if L)
 
 
 def contracted_arcs(graph: DeBruijnGraph

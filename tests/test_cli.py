@@ -395,6 +395,27 @@ class TestExitCodes:
             main(["bosh", "--preset", "grigorchuk", "--json"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("complexity", "--coding", "| @liuqu(3)", "--max-len", "100"),
+        ("palindrome", "--coding", "| @liuqu(3)", "--max-len", "100"),
+        ("complexity", "--preset", "grigorchuk", "--max-len", "1000",
+         "--check", "--budget", "100"),
+        ("palindrome", "--preset", "grigorchuk", "--max-len", "1000",
+         "--check", "--budget", "100"),
+        ("repetitivity", "--preset", "grigorchuk", "--max-len", "40",
+         "--budget", "200"),
+        # the horizon ends at L = |p(12)| + 1 = 8192, past the first write
+        ("complexity", "--coding", "| @liuqu(13)", "--max-len", "10000"),
+        ("palindrome", "--coding", "| @liuqu(13)", "--max-len", "10000"),
+    ], ids=["complexity-horizon", "palindrome-horizon", "complexity-budget",
+            "palindrome-budget", "repetitivity-budget",
+            "complexity-late-horizon", "palindrome-late-horizon"])
+    def test_table_that_cannot_finish_prints_no_row(self, capsys, argv):
+        # the tables stream, so each must fail before its first row
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith(f"toeplitz {argv[0]}: ")
+
 
 def subcommands(parser: argparse.ArgumentParser) -> list:
     """The names of the subparsers that `parser` holds."""
@@ -756,3 +777,50 @@ class TestProcessEntry:
         finally:
             os.close(writer)
         assert proc.returncode == 120 and b"BrokenPipeError" in proc.stderr
+
+
+def table_argv(command: str, max_len: int) -> tuple:
+    return (command, "--preset", "grigorchuk", "--max-len", str(max_len))
+
+
+class TestStreamedOutput:
+    """Each command's lines go out as they are made, a chunk per write."""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads VmHWM from /proc")
+    @pytest.mark.parametrize("command", ["complexity", "palindrome"])
+    def test_table_peak_does_not_grow_with_rows(self, command):
+        # holding 10**5 rows and their text took about 40 MB
+        proc = run_fresh(
+            "import runpy, sys\n"
+            "sys.argv[0] = 'toeplitz'\n"
+            "try:\n"
+            "    runpy.run_module('toeplitz', run_name='__main__')\n"
+            "finally:\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        print(*[l for l in fh if l.startswith('VmHWM:')],\n"
+            "              file=sys.stderr, end='')\n",
+            *table_argv(command, 10**5))
+        assert proc.returncode == 0
+        # the header, then L = 0 or 1 up to 10**5
+        assert proc.stdout.count("\n") == 10**5 + 1 + (command == "complexity")
+        peak_kb = int(proc.stderr.split()[-2])
+        assert peak_kb < 25 * 1024
+
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    def test_closed_stdout_ends_quietly(self, unbuffered):
+        reader, writer = os.pipe()
+        os.close(reader)
+        env = buffered_env()
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "toeplitz",
+                 *table_argv("complexity", 10**5)],
+                stdout=writer, stderr=subprocess.PIPE, check=False, env=env)
+        finally:
+            os.close(writer)
+        assert proc.returncode == 120
+        assert proc.stderr == b"toeplitz complexity: stdout closed\n"

@@ -174,7 +174,7 @@ def test_profile_equals_the_per_length_functions(battery, grig, two_letter):
 
 
 def test_profile_rows(grig):
-    rows = profile(grig, 6, with_oracle=True)
+    rows = list(profile(grig, 6, with_oracle=True))
     assert [r.formula for r in rows] == [1, 4, 6, 8, 10, 13, 16]
     assert all(r.oracle == r.formula for r in rows)
     assert all(

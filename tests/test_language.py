@@ -108,11 +108,11 @@ class TestOnePassOracles:
     def test_grigorchuk_matches_the_formulas(self, grig):
         top = 10 ** 5
         for c in (grig, l_grigorchuk(1, 3)):
-            rows = profile(c, top, with_oracle=True)
+            rows = list(profile(c, top, with_oracle=True))
             assert [r.formula for r in rows] == [r.oracle for r in rows]
             assert [r.growth for r in rows[:-1]] == \
                 [b.oracle - a.oracle for a, b in zip(rows, rows[1:])]
-            rows = palindrome_profile(c, top, with_oracle=True)
+            rows = list(palindrome_profile(c, top, with_oracle=True))
             assert [r.formula for r in rows] == [r.oracle for r in rows]
             assert len(rows) == top
 
