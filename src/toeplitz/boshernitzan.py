@@ -10,10 +10,14 @@ stays bounded, and it suffices to look along the kappa-jump positions m_i,
 whose triples (m_i, kappa(m_i), kappa(m_i - 1)) `coding.jumps` hands out.
 Periodic tails make that witness sequence eventually periodic, so (B) is
 always satisfied there and the verdict is exact.  Generator tails get a
-horizon-qualified verdict only.  When |A_ev| = 3 the product criterion
-collapses to liminf_i n_{m_i + 1} < infinity; the sequence n_{m_i + 1} is
-judged by the same bounded-subsequence rule as the products and reported
-alongside as a consistency check.
+horizon-qualified verdict only.  When |A_ev| = 3 the criterion reads
+liminf_i n_{m_i + 1} < infinity, and `liminf_criterion` judges n_{m_i + 1}
+by the same bounded-subsequence rule as the products.  It restates the
+product verdict rather than checking it: at a jump with |A_{m_i}| = 3,
+kappa(m_i - 1) = m_i + 2 (were a_{m_i + 2} not the third letter, it would
+be a_{m_i}, and kappa would not jump at m_i), so the product is
+n_{m_i + 1} itself.  The two sequences differ only at the jumps before the
+alphabet stabilises at N_ev.
 
 eta itself is estimated empirically from letter frequencies in a long
 prefix; the invariant measure is never represented.  `estimate_eta` imports

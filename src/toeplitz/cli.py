@@ -1,8 +1,10 @@
 """Command-line front door wiring every module together.
 
-Exit codes: 0 success, 1 formula/oracle mismatch, 2 usage error,
-3 budget or horizon exhaustion, 120 when the reader of stdout leaves early.
-Every command hands `_write` its output as lines, tables as they are made.
+Exit codes: 0 success, 1 formula/oracle mismatch, 2 usage error (an output
+path that cannot be written among them), 3 budget or horizon exhaustion,
+70 for a crash, which prints its traceback, and 120 when stdout cannot be
+written.  Every command hands `_write` its output as lines, tables as they
+are made.
 All outputs are deterministic: words are sorted, JSON keys are sorted and
 floats use repr.  Every scan runs serially; the worker-count flag is
 accepted for compatibility and has no effect.
@@ -49,12 +51,14 @@ from .errors import (
     HorizonExceeded,
     PrefixTooShort,
     ToeplitzError,
+    charge,
 )
 from .presets import PRESET_NAMES, parse_coding_spec, preset
 
 CHECK_MISMATCH = 1
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
+SOFTWARE_ERROR = 70  # EX_SOFTWARE: a crash, neither bad input nor a mismatch
 STDOUT_CLOSED = 120  # the status of a failed flush at interpreter exit
 
 
@@ -85,22 +89,37 @@ def _resolve(args: argparse.Namespace) -> Coding:
     return coding
 
 
+class _StdoutFailed(Exception):
+    """stdout could not be written; the message says why."""
+
+
 def _write(path: Optional[str], lines: Iterable[str]) -> None:
     """Write each line and a newline to `path` (stdout for None or `-`),
     4096 lines a `write` call: never the whole text at once, nor one system
-    call per line on an unbuffered stdout."""
+    call per line on an unbuffered stdout.
+
+    stdout is flushed after the last chunk, so its failure surfaces here
+    as `_StdoutFailed`.  Any `OSError` while opening, writing or closing a
+    path is a ValueError that names it; the file is closed either way.
+    """
+    lines = iter(lines)
+    chunks = iter(lambda: list(islice(lines, 4096)), [])
+    if path in (None, "-"):
+        try:
+            for chunk in chunks:
+                sys.stdout.write("\n".join(chunk) + "\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            raise _StdoutFailed("stdout closed") from None
+        except OSError as exc:
+            raise _StdoutFailed(f"cannot write stdout: {exc.strerror}") from None
+        return
     try:
-        out = (sys.stdout if path in (None, "-")
-               else open(path, "w", encoding="utf-8"))
+        with open(path, "w", encoding="utf-8") as out:
+            for chunk in chunks:
+                out.write("\n".join(chunk) + "\n")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
-    lines = iter(lines)
-    try:
-        while chunk := list(islice(lines, 4096)):
-            out.write("\n".join(chunk) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 def _emit_json(payload, path: Optional[str]) -> None:
@@ -209,9 +228,8 @@ def _cmd_debruijn(c: Coding, args) -> int:
 
 def _charge_horizon(args) -> None:
     """One budget unit per kappa jump of a verdict, before the walk."""
-    if args.horizon > args.budget:
-        raise BudgetExceeded(f"--horizon: a horizon of {args.horizon} kappa "
-                             f"jumps exceeds the budget of {args.budget}")
+    charge(args.horizon, args.budget,
+           f"--horizon: a horizon of {args.horizon} kappa jumps")
 
 
 def _verdict_payload(v) -> dict:
@@ -333,9 +351,7 @@ def _cmd_spectrum(c: Coding, args) -> int:
                          f"energies, got {args.energies!r}")
         if steps < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
             raise bad
-        if steps > args.budget:
-            raise BudgetExceeded(f"--energies: a grid of {steps} energies "
-                                 f"exceeds the budget of {args.budget}")
+        charge(steps, args.budget, f"--energies: a grid of {steps} energies")
         grid = spectral.energy_grid(lo, hi, steps)
         if not all(map(math.isfinite, grid)):
             raise bad
@@ -482,17 +498,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"toeplitz {args.command}: warning: {message}", file=sys.stderr)
             return handler(
                 None if args.command == "presets" else _resolve(args), args)
-    except BrokenPipeError:
-        # the reader is gone; what is still buffered, and the flush at
-        # interpreter exit, go to the null device instead of failing again
+    except _StdoutFailed as exc:
+        # what is still buffered, and the flush at interpreter exit, go to
+        # the null device instead of failing again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print(f"toeplitz {args.command}: stdout closed", file=sys.stderr)
+        print(f"toeplitz {args.command}: {exc}", file=sys.stderr)
         return STDOUT_CLOSED
     except (BudgetExceeded, HorizonExceeded, PrefixTooShort) as exc:
         print(f"toeplitz {args.command}: {exc}", file=sys.stderr)
         return RESOURCE_ERROR
-    except (ToeplitzError, ValueError, KeyError, IndexError) as exc:
+    except (ToeplitzError, ValueError) as exc:
         print(f"toeplitz {args.command}: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        return SOFTWARE_ERROR

@@ -32,7 +32,7 @@ from collections import namedtuple
 from itertools import count, islice
 from typing import Iterator, Union
 
-from .errors import AllLettersEqual, EmptyCoding, HorizonExceeded
+from .errors import AllLettersEqual, EmptyCoding, HorizonExceeded, TooSmall
 
 MAX_ALPHABET = 255
 
@@ -153,7 +153,7 @@ class Coding(checked_record("Coding", "alphabet preperiod tail")):
 
     def entry(self, k: int) -> CodingEntry:
         if k < 0:
-            raise IndexError(f"coding index must be >= 0, got {k}")
+            raise TooSmall(f"coding index must be >= 0, got {k}")
         pre = self.preperiod
         if k < len(pre):
             return pre[k]
@@ -180,9 +180,8 @@ class Coding(checked_record("Coding", "alphabet preperiod tail")):
                 return False
         if isinstance(self.tail, PeriodicTail):
             t = self.tail.entries
+            # equal neighbours above already rule out a longer one-letter cycle
             if len(t) == 1 or t[-1].letter == t[0].letter:
-                return False
-            if len({e.letter for e in t}) < 2:
                 return False
         return True
 
@@ -265,7 +264,7 @@ def normalize(raw: Coding) -> Coding:
 def tail_alphabet(c: Coding, k: int) -> frozenset[int]:
     """A_k = {a_j : j >= k}, certified exactly or via the generator contract."""
     if k < 0:
-        raise IndexError("tail alphabet index must be >= 0")
+        raise TooSmall("tail alphabet index must be >= 0")
     rest = {e.letter for e in c.preperiod[k:]}
     if isinstance(c.tail, PeriodicTail):
         return frozenset(rest | {e.letter for e in c.tail.entries})
@@ -353,7 +352,7 @@ def verdict_jumps(c: Coding, horizon: int
 def scaled_length(c: Coding, k: int) -> int:
     """n_0 * ... * n_k, i.e. |p(k)| + 1; equals 1 for k = -1."""
     if k < -1:
-        raise IndexError("level must be >= -1")
+        raise TooSmall("level must be >= -1")
     return period_product(c, 0, k + 1)
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .coding import Coding
+from .errors import TooSmall
 from .language import factor_counts
 from .words import DEFAULT_BUDGET, Level, Row, bands, level
 
@@ -49,14 +50,14 @@ def band_growth(lv: Level, length: int) -> int:
 def complexity_formula(c: Coding, length: int) -> int:
     """Exact factor count p(length) by the closed formulas."""
     if length < 0:
-        raise IndexError("length must be >= 0")
+        raise TooSmall("length must be >= 0")
     return band_complexity(level(c, length), length)
 
 
 def growth_formula(c: Coding, length: int) -> int:
     """R(length) = p(length + 1) - p(length), piecewise constant per band."""
     if length < 0:
-        raise IndexError("length must be >= 0")
+        raise TooSmall("length must be >= 0")
     return band_growth(level(c, length), length)
 
 

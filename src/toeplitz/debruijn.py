@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Optional
 
 from .coding import Alphabet, Coding, tail_alphabet
+from .errors import TooSmall
 from .language import language, palindrome_counts
 from .words import DEFAULT_BUDGET, Level, Row, bands, level, level_at, word_prefix
 
@@ -64,7 +65,7 @@ def build_graph(c: Coding, length: int,
     edge prefixes are exactly the vertices.
     """
     if length < 1:
-        raise IndexError("graph length must be >= 1")
+        raise TooSmall("graph length must be >= 1")
     edges = tuple((w[:-1], w[1:], w) for w in language(c, length + 1, budget))
     vertices = tuple(sorted({u for u, _, _ in edges}))
     return DeBruijnGraph(c.alphabet, length, vertices, edges,
@@ -90,7 +91,7 @@ def band_palindromes(lv: Level, length: int) -> int:
 def palindrome_formula(c: Coding, length: int) -> int:
     """Closed-form palindrome count among the length-`length` factors."""
     if length < 1:
-        raise IndexError("palindrome counts start at length 1")
+        raise TooSmall("palindrome counts start at length 1")
     return band_palindromes(level(c, length), length)
 
 

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all toeplitz modules, and the default
-symbol budget whose excess raises `BudgetExceeded`."""
+"""Exception hierarchy shared by all toeplitz modules, the default
+`--budget` and `charge`, the one check that raises `BudgetExceeded`."""
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -32,9 +32,19 @@ class WordNotInLanguage(ToeplitzError):
     """The queried word is not a factor of the subshift."""
 
 
+class TooSmall(ToeplitzError, IndexError):
+    """A length, level, index or size lies below the least one it may take."""
+
+
 class OutOfTheoremRange(ToeplitzError):
     """The closed-form repetitivity formula does not cover this length."""
 
 
 class PrefixTooShort(ToeplitzError):
     """The sampled prefix is too short for a frequency estimate."""
+
+
+def charge(units: int, budget: int, what: str, unit: str = "") -> None:
+    """Raise `BudgetExceeded` if `what` takes more than `budget` units."""
+    if units > budget:
+        raise BudgetExceeded(f"{what} exceeds the budget of {budget}{unit}")

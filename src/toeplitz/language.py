@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .coding import Coding, tail_alphabet
-from .errors import BudgetExceeded, WordNotInLanguage
+from .errors import TooSmall, WordNotInLanguage, charge
 from .words import DEFAULT_BUDGET, block, level
 
 
@@ -45,17 +45,15 @@ def language(c: Coding, length: int,
     Distinct words times `length` count against `budget` as the set grows.
     """
     if length < 0:
-        raise IndexError("word length must be >= 0")
+        raise TooSmall("word length must be >= 0")
     if length == 0:
         return (b"",)
-    most = budget // length
+    what = f"the length-{length} factor set"
     factors: set[bytes] = set()
     for w in enclosing_words(c, length, budget):
         for i in range(len(w) - length + 1):
             factors.add(w[i:i + length])
-            if len(factors) > most:
-                raise BudgetExceeded(f"the length-{length} factor set exceeds "
-                                     f"the budget of {budget} symbols")
+            charge(len(factors) * length, budget, what, " symbols")
     return tuple(sorted(factors))
 
 
@@ -63,14 +61,6 @@ def _host_symbols(c: Coding, length: int) -> int:
     """Total length of `enclosing_words(c, length)`, without building them."""
     lv = level(c, length - 1)
     return lv.size_next * (2 * lv.p + 1)
-
-
-def _check_states(structure: str, states: int, budget: int) -> None:
-    if states > budget:
-        raise BudgetExceeded(
-            f"{structure} needs up to {states} states, which exceeds the "
-            f"budget of {budget}"
-        )
 
 
 def factor_counts(c: Coding, max_len: int,
@@ -82,8 +72,10 @@ def factor_counts(c: Coding, max_len: int,
     adding those intervals into a difference array counts each factor once.
     """
     if max_len < 0:
-        raise IndexError("word length must be >= 0")
-    _check_states("the suffix automaton", 2 * _host_symbols(c, max_len), budget)
+        raise TooSmall("word length must be >= 0")
+    states = 2 * _host_symbols(c, max_len)
+    charge(states, budget,
+           f"the suffix automaton needs up to {states} states, which")
     size, link, nxt = [0], [-1], [{}]
 
     def split(p: int, a: int) -> int:
@@ -138,8 +130,9 @@ def palindrome_counts(c: Coding, max_len: int,
     nodes of each length counts each palindrome once.
     """
     if max_len < 0:
-        raise IndexError("word length must be >= 0")
-    _check_states("the eertree", _host_symbols(c, max_len) + 2, budget)
+        raise TooSmall("word length must be >= 0")
+    states = _host_symbols(c, max_len) + 2
+    charge(states, budget, f"the eertree needs up to {states} states, which")
     # node 0 is the imaginary root of length -1, node 1 the empty palindrome
     size, link, nxt = [-1, 0], [0, 0], [{}, {}]
 

@@ -34,7 +34,7 @@ import math
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .coding import Coding, jumps, period_product, verdict_jumps
-from .errors import DEFAULT_BUDGET, OutOfTheoremRange
+from .errors import DEFAULT_BUDGET, OutOfTheoremRange, TooSmall
 
 
 def _bands(c: Coding) -> Iterator[tuple[int, int, int, int]]:
@@ -58,7 +58,7 @@ def _band_value(band: tuple[int, int, int, int], length: int) -> int:
 def repetitivity_formula(c: Coding, length: int) -> int:
     """Closed-form R(length) within the theorem's validity range."""
     if length < 1:
-        raise IndexError("repetitivity lengths start at 1")
+        raise TooSmall("repetitivity lengths start at 1")
     band = None
     for ahead in _bands(c):
         if ahead[0] > length:
@@ -124,7 +124,7 @@ def repetitivity_oracle(c: Coding, length: int,
     a lower bound, and the hosts are rescanned at the level that covers it.
     """
     if length < 1:
-        raise IndexError("repetitivity lengths start at 1")
+        raise TooSmall("repetitivity lengths start at 1")
     return _least_window(c, length, length + 1, budget)
 
 

@@ -46,7 +46,7 @@ import warnings
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 from .coding import Alphabet, Coding, checked_record
-from .errors import BudgetExceeded
+from .errors import TooSmall, charge
 from .words import DEFAULT_BUDGET, word_prefix
 
 if TYPE_CHECKING:
@@ -151,7 +151,7 @@ def transfer_cocycle(c: Coding, coeff: CoefficientMap, E: Number, n: int,
     Exact when `coeff` values and E are Fractions; identity for n = 0.
     """
     if n < 0:
-        raise IndexError("cocycle step count must be >= 0")
+        raise TooSmall("cocycle step count must be >= 0")
     _warn_if_degenerate(coeff)
     word = word_prefix(c, n + 2, budget)
     out = TransferMatrix.identity()
@@ -171,7 +171,7 @@ def finite_section(c: Coding, coeff: CoefficientMap, size: int,
     k + 1, matching the operator's row structure.
     """
     if size < 2:
-        raise IndexError("finite sections need size >= 2")
+        raise TooSmall("finite sections need size >= 2")
     word = word_prefix(c, size + 1, budget)
     qs = [float(v) for v in coeff.q_values]
     ps = [float(v) for v in coeff.p_values]
@@ -238,11 +238,9 @@ def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
     entries raise ValueError before either solver runs, and a `dsterf`
     that does not converge raises `np.linalg.LinAlgError`, a ValueError.
     """
-    if size >= 2 and size * size > budget:
-        raise BudgetExceeded(
-            f"a {size} x {size} finite section exceeds the budget of "
-            f"{budget} matrix entries"
-        )
+    if size >= 2:
+        charge(size * size, budget, f"a {size} x {size} finite section",
+               " matrix entries")
     diag, off = finite_section(c, coeff, size, budget)
     _warn_if_degenerate(coeff)
     entries = diag + off
@@ -312,7 +310,7 @@ def lyapunov_over_grid(c: Coding, coeff: CoefficientMap,
     250 and 400 energies (README), and slower above.
     """
     if n < 1:
-        raise IndexError("lyapunov estimates need n >= 1")
+        raise TooSmall("lyapunov estimates need n >= 1")
     _warn_if_degenerate(coeff)
     grid = [float(E) for E in energies]
     if not grid:

@@ -20,18 +20,15 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Optional
 
 from .coding import Coding, checked_record, scaled_length, tail_alphabet
-from .errors import DEFAULT_BUDGET, BudgetExceeded, InvalidShift
+from .errors import DEFAULT_BUDGET, InvalidShift, TooSmall, charge
 
 
 def block(c: Coding, k: int, budget: int = DEFAULT_BUDGET) -> bytes:
     """The block p(k): the limit word's first |p(k)| = n_0 * ... * n_k - 1 symbols."""
     if k < 0:
-        raise IndexError("block level must be >= 0")
+        raise TooSmall("block level must be >= 0")
     length = scaled_length(c, k) - 1
-    if length > budget:
-        raise BudgetExceeded(
-            f"|p({k})| = {length} exceeds the budget of {budget} symbols"
-        )
+    charge(length, budget, f"|p({k})| = {length}", " symbols")
     return word_prefix(c, length, budget)
 
 
@@ -69,7 +66,7 @@ class Level(NamedTuple):
 def level_at(c: Coding, k: int) -> Level:
     """The `Level` record of level k."""
     if k < 0:
-        raise IndexError("level must be >= 0")
+        raise TooSmall("level must be >= 0")
     here, nxt = tail_alphabet(c, k), tail_alphabet(c, k + 1)
     return Level(k, block_length(c, k), block_length(c, k - 1),
                  block_length(c, max(k - 2, -1)), c.letter(k),
@@ -119,11 +116,8 @@ def word_prefix(c: Coding, length: int, budget: int = DEFAULT_BUDGET) -> bytes:
     exact and materializes O(length) symbols however long p(k) is.
     """
     if length < 0:
-        raise IndexError("prefix length must be >= 0")
-    if length > budget:
-        raise BudgetExceeded(
-            f"prefix of length {length} exceeds the budget of {budget} symbols"
-        )
+        raise TooSmall("prefix length must be >= 0")
+    charge(length, budget, f"prefix of length {length}", " symbols")
     prefix, k = bytes([c.letter(0)]) * min(length, c.period(0) - 1), 0
     while len(prefix) < length:
         k += 1

@@ -26,6 +26,7 @@ SHRINKING = [
     "c:2 d:2 | a:2 b:2",         # drops while periods stay minimal
     "d:3 c:4 | b:2 a:4 b:3 a:2",
     "c:3 | x:2 y:2 z:2",         # one dropout, three-letter eventual
+    "w:2 z:2 w:2 | x:2 y:2 z:2",  # a jump at m = 1 while A_1 still has w
 ]
 
 

@@ -1,18 +1,24 @@
 """Condition (B): product witnesses, verdicts, and empirical eta floors."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from conftest import squaring_coding
+from conftest import SHRINKING, make_battery, squaring_coding
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toeplitz.boshernitzan import (
     bosh_verdict,
     estimate_eta,
 )
 from toeplitz.coding import (Alphabet, Coding, CodingEntry, GeneratorTail,
-                             eventual_alphabet)
-from toeplitz.errors import PrefixTooShort
+                             eventual_alphabet, jumps, normalize,
+                             period_product, stabilization_index,
+                             tail_alphabet)
+from toeplitz.errors import HorizonExceeded, PrefixTooShort
 from toeplitz.language import language
+from toeplitz.presets import grigorchuk, l_grigorchuk, parse_coding_spec
 from toeplitz.verdicts import Status, trend_of
 
 
@@ -40,6 +46,67 @@ class TestProducts:
     def test_indices_start_at_one(self, liu_qu):
         # the first witness is taken at m_1, not at m_0
         assert bosh_verdict(liu_qu, 3).witness == (16, 64, 256)
+
+
+def jump_witnesses(c: Coding, count: int = 40) -> list:
+    """(m_i, |A_{m_i}|, kappa(m_i - 1), product, n_{m_i + 1}) for the
+    first `count` jumps, or for as many as a generator's entries hold."""
+    out = []
+    try:
+        for m, _, before in islice(jumps(c), count):
+            out.append((m, len(tail_alphabet(c, m)), before,
+                        period_product(c, m + 1, before), c.period(m + 1)))
+    except HorizonExceeded:
+        pass
+    return out
+
+
+@st.composite
+def three_letter_generators(draw) -> Coding:
+    """A generator tail over x, y, z, each at least once, behind a
+    preperiod over six letters."""
+    alphabet = Alphabet.from_names("xyzuvw")
+
+    def entries(letters, **size):
+        return draw(st.lists(st.builds(CodingEntry, st.sampled_from(letters),
+                                       st.integers(2, 4)), **size))
+
+    tail = entries(range(3), min_size=3, max_size=40)
+    assume({e.letter for e in tail} == {0, 1, 2})
+    pre = entries(range(6), max_size=6)
+    return normalize(Coding(alphabet, tuple(pre), GeneratorTail(
+        "random", tuple(tail), recurrent=frozenset(range(3)))))
+
+
+class TestThreeLetterJumps:
+    """At a jump m_i with |A_{m_i}| = 3, kappa(m_i - 1) = m_i + 2: were
+    a_{m_i + 2} not the third letter it would be a_{m_i}, and kappa(m_i)
+    would equal kappa(m_i - 1).  So the witness product is n_{m_i + 1}."""
+
+    @staticmethod
+    def assert_identity(c: Coding) -> int:
+        hits = 0
+        for m, size, before, product, period in jump_witnesses(c):
+            if size == 3:
+                hits += 1
+                assert before == m + 2 and product == period, (c, m)
+        return hits
+
+    def test_periodic_families(self):
+        codings = [*make_battery(), *map(parse_coding_spec, SHRINKING),
+                   grigorchuk(), l_grigorchuk(1, 3), l_grigorchuk(1, 2)]
+        assert sum(map(self.assert_identity, codings)) >= 800
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=three_letter_generators())
+    def test_generator_tails(self, c):
+        self.assert_identity(c)
+
+    def test_fails_before_the_alphabet_settles(self):
+        # |A_1| = 4 at the jump m_1 = 1: the product n_2 n_3 is not n_2
+        c = parse_coding_spec(SHRINKING[-1])
+        assert len(eventual_alphabet(c)) == 3 and stabilization_index(c) == 3
+        assert jump_witnesses(c, 1) == [(1, 4, 4, 4, 2)]
 
 
 class TestVerdicts:

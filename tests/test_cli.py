@@ -2,13 +2,16 @@
 
 import argparse
 import ast
+import errno
 import gc
 import hashlib
+import importlib
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -16,6 +19,18 @@ from conftest import child_env
 
 from toeplitz import cli, spectral
 from toeplitz.cli import main
+
+
+# one argv per output flag, each waiting for its path
+OUTPUT_ARGVS = [
+    ("gen", "--preset", "grigorchuk", "--length", "10", "--out"),
+    ("complexity", "--preset", "grigorchuk", "--max-len", "3", "--csv"),
+    ("debruijn", "--preset", "grigorchuk", "-L", "2", "--dot"),
+    ("debruijn", "--preset", "grigorchuk", "-L", "2", "--json"),
+    ("spectrum", "--preset", "grigorchuk", "--q", "a=0,x=1", "--size", "4",
+     "--csv"),
+]
+OUTPUT_IDS = ["out", "csv", "dot", "json", "spectrum-csv"]
 
 
 def run(capsys, *argv):
@@ -162,9 +177,16 @@ class TestExitCodes:
         ("--coding", "| @liuqu(-1)"),
         ("--preset", "liuqu(3,4)"),
         ("--coding", "| @liuqu(3,4)"),
+        ("--coding", "a:2 x:2 y:2"),
+        ("--coding", "a:2 | x:2 | y:2"),
+        ("--coding", "| @nope"),
+        ("--coding", "a:2 |"),
+        ("--coding", "| @2liuqu"),
+        ("--preset", "grig orchuk"),
     ], ids=["grigorchuk-arg", "l-grigorchuk-letter", "generator-letter",
             "liuqu-negative", "generator-negative", "liuqu-two-args",
-            "generator-two-args"])
+            "generator-two-args", "no-bar", "two-bars", "unknown-generator",
+            "empty-tail", "malformed-generator", "malformed-preset"])
     def test_bad_reference_names_flag(self, capsys, flag, value):
         code, out, err = run(capsys, "gen", flag, value, "--length", "1")
         assert code == 2 and out == "" and flag in err
@@ -270,14 +292,7 @@ class TestExitCodes:
                              *(f"{k}={v}" for k, v in argv.items()))
         assert code == 2 and out == "" and f"{flag}:" in err
 
-    @pytest.mark.parametrize("argv", [
-        ("gen", "--preset", "grigorchuk", "--length", "10", "--out"),
-        ("complexity", "--preset", "grigorchuk", "--max-len", "3", "--csv"),
-        ("debruijn", "--preset", "grigorchuk", "-L", "2", "--dot"),
-        ("debruijn", "--preset", "grigorchuk", "-L", "2", "--json"),
-        ("spectrum", "--preset", "grigorchuk", "--q", "a=0,x=1", "--size", "4",
-         "--csv"),
-    ], ids=["out", "csv", "dot", "json", "spectrum-csv"])
+    @pytest.mark.parametrize("argv", OUTPUT_ARGVS, ids=OUTPUT_IDS)
     @pytest.mark.parametrize("target", ["missing-dir", "directory"])
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys, argv,
                                               target):
@@ -415,6 +430,26 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err.startswith(f"toeplitz {argv[0]}: ")
+
+    # a fault inside a layer, not bad input
+    @pytest.mark.parametrize("module, name, crash, argv, last", [
+        ("complexity", "profile", lambda *_: [][0],
+         ("complexity", "--preset", "grigorchuk", "--max-len", "8"),
+         "IndexError: list index out of range"),
+        ("spectral", "lyapunov_over_grid", lambda *_: {}["x"],
+         ("spectrum", "--preset", "grigorchuk", "--energies", "0:1:2",
+          "--lyapunov", "8"),
+         "KeyError: 'x'"),
+    ], ids=["index-error", "key-error"])
+    def test_crash_is_seventy_with_a_traceback(self, capsys, monkeypatch,
+                                               module, name, crash, argv,
+                                               last):
+        monkeypatch.setattr(importlib.import_module(f"toeplitz.{module}"),
+                            name, crash)
+        code, out, err = run(capsys, *argv)
+        assert code == cli.SOFTWARE_ERROR == 70 and out == ""
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith(f"\n{last}\n")
 
 
 def subcommands(parser: argparse.ArgumentParser) -> list:
@@ -610,6 +645,9 @@ STDOUT_DIGESTS = [
     (("spectrum", "--preset", "l-grigorchuk(1,3)", "--q", "a=0,x=1,y=2,z=3",
       "--p", "a=1,x=2,y=0.5,z=1.5", "--energies=-4:7:61", "--lyapunov", "2000"),
      "1fb2c2da409fe31b097015c8698d8e9ef136f96779aaeb79675466f6de8664e2"),
+    # with neither --dot nor --json, the graph's JSON goes to stdout
+    (("debruijn", "--preset", "grigorchuk", "-L", "8"),
+     "c8d5245596b605f060f9a00cd44deca7fdffe81f9d87590a5b1173887d71c598"),
     (("spectrum", "--preset", "grigorchuk", "--q", "a=0,x=1,y=2,z=3",
       "--size", "2048"),
      "a0fecbfe6f3121c7fefe09bb01837ed247869c7ebf51ec271dccb3ebcb33d3ae"),
@@ -625,6 +663,14 @@ def test_stdout_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_debruijn_json_on_stdout_is_the_json_file(tmp_path, capsys):
+    argv = ("debruijn", "--preset", "grigorchuk", "-L", "8")
+    code, out, _ = run(capsys, *argv)
+    path = tmp_path / "graph.json"
+    assert (code, run(capsys, *argv, "--json", str(path))) == (0, (0, "", ""))
+    assert path.read_bytes() == out.encode()
 
 
 # each command and the modules it may load: the package, `toeplitz.*` and the
@@ -766,12 +812,13 @@ class TestProcessEntry:
         assert launched[0] == status
 
     def test_failed_flush_at_exit_is_120(self):
-        # stdout is a pipe whose reader is gone; the output waits in the
-        # buffer until the interpreter's own flush at exit
+        # stdout is a pipe whose reader is gone; argparse's help, unlike the
+        # commands' output, waits in the buffer until the interpreter's own
+        # flush at exit
         reader, writer = os.pipe()
         os.close(reader)
         try:
-            proc = subprocess.run([sys.executable, "-m", "toeplitz", "presets"],
+            proc = subprocess.run([sys.executable, "-m", "toeplitz", "--help"],
                                   stdout=writer, stderr=subprocess.PIPE,
                                   check=False, env=buffered_env())
         finally:
@@ -824,3 +871,54 @@ class TestStreamedOutput:
             os.close(writer)
         assert proc.returncode == 120
         assert proc.stderr == b"toeplitz complexity: stdout closed\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [("presets",), table_argv("complexity",
+                                                               10**4)],
+                             ids=["presets", "table"])
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    def test_full_stdout_ends_in_one_line(self, argv, unbuffered):
+        env = buffered_env()
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "toeplitz", *argv],
+                                  stdout=full, stderr=subprocess.PIPE,
+                                  check=False, env=env)
+        assert proc.returncode == 120
+        assert proc.stderr == (f"toeplitz {argv[0]}: cannot write stdout: "
+                               f"{os.strerror(errno.ENOSPC)}\n").encode()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", OUTPUT_ARGVS, ids=OUTPUT_IDS)
+    def test_full_output_path_is_a_usage_error(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "toeplitz", *argv,
+                               "/dev/full"], capture_output=True, check=False,
+                              env=buffered_env())
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.stderr == (f"toeplitz {argv[0]}: cannot write /dev/full: "
+                               f"{os.strerror(errno.ENOSPC)}\n").encode()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs mkfifo")
+    def test_fifo_whose_reader_leaves_is_a_usage_error(self, tmp_path):
+        fifo = tmp_path / "f"
+        os.mkfifo(fifo)
+
+        def read_ten_bytes():
+            with open(fifo, "rb") as reader:
+                reader.read(10)
+
+        # the open blocks until the child opens its end
+        thread = threading.Thread(target=read_ten_bytes, daemon=True)
+        thread.start()
+        proc = subprocess.run([sys.executable, "-m", "toeplitz",
+                               *table_argv("complexity", 10**5), "--csv",
+                               str(fifo)], capture_output=True, check=False,
+                              env=buffered_env(), timeout=60)
+        thread.join(10)
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.stderr == (f"toeplitz complexity: cannot write {fifo}: "
+                               f"{os.strerror(errno.EPIPE)}\n").encode()

@@ -83,6 +83,17 @@ class TestNormalize:
         assert merged.tail.entries == entries(ab, [("y", 2), ("x", 3)])
         assert merged.is_normalized
 
+    @pytest.mark.parametrize("pre, tail", [
+        ([("a", 2), ("a", 3)], [("x", 2), ("y", 2)]),
+        ([("x", 2)], [("x", 3), ("y", 2)]),
+        ([], [("x", 2), ("y", 2), ("x", 3)]),
+        ([("a", 2)], [("x", 2)]),
+    ], ids=["preperiod", "junction", "wrap", "one-entry-cycle"])
+    def test_equal_neighbours_are_not_normalized(self, pre, tail):
+        ab = Alphabet.from_names("axy")
+        raw = Coding(ab, entries(ab, pre), PeriodicTail(entries(ab, tail)))
+        assert not raw.is_normalized
+
     def test_idempotent_and_same_word_on_battery(self, battery):
         for c in battery:
             n = normalize(c)
@@ -392,6 +403,11 @@ class TestPresets:
         ps = [c.period(k) for k in range(1, 13)]
         assert ps == [2, 4, 2, 4, 2, 4] * 2
         assert {c.alphabet.names[l] for l in eventual_alphabet(c)} == set("xyz")
+
+    def test_generator_spec_names_the_generator_only(self, liu_qu):
+        assert liu_qu.spec_string() == "| @liuqu"
+        assert parse_coding_spec("e:3 | @liuqu(40)").spec_string() == \
+            "e:3 | @liuqu"
 
     def test_generator_tail_with_new_preperiod_letter(self):
         c = parse_coding_spec("e:3 | @liuqu")
