@@ -118,10 +118,13 @@ def estimate_eta(c: Coding, length: int, prefix_length: int,
             f"need a prefix of at least {needed} symbols for L={length}, "
             f"got {prefix_length}"
         )
+    # the charged factor set first: the uncharged counts below hold a
+    # subset of its words
+    factors = language(c, length, budget)
     prefix = word_prefix(c, prefix_length, budget)
     windows = prefix_length - length + 1
     totals = Counter(prefix[i:i + length] for i in range(windows))
-    worst = min(language(c, length, budget), key=totals.__getitem__)
+    worst = min(factors, key=totals.__getitem__)
     if totals[worst] == 0:
         raise PrefixTooShort(
             f"factor {c.alphabet.render(worst)} never occurs in the first "

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 formula/oracle mismatch, 2 usage error (an output
 path that cannot be written among them), 3 budget or horizon exhaustion,
 70 for a crash, which prints its traceback, and 120 when stdout cannot be
-written.  Every command hands `_write` its output as lines, tables as they
-are made.
+written.  Every command, and argparse's help, hands `_write` its output as
+lines, tables as they are made.
 All outputs are deterministic: words are sorted, JSON keys are sorted and
 floats use repr.  Every scan runs serially; the worker-count flag is
 accepted for compatibility and has no effect.
@@ -37,6 +37,7 @@ Every record is a named tuple, not a dataclass, so no subcommand imports
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -98,28 +99,25 @@ def _write(path: Optional[str], lines: Iterable[str]) -> None:
     4096 lines a `write` call: never the whole text at once, nor one system
     call per line on an unbuffered stdout.
 
-    stdout is flushed after the last chunk, so its failure surfaces here
-    as `_StdoutFailed`.  Any `OSError` while opening, writing or closing a
-    path is a ValueError that names it; the file is closed either way.
+    The output is flushed after the last chunk, so a failure surfaces here:
+    on stdout as `_StdoutFailed`, on a path (opening, writing or closing
+    it) as a ValueError that names it, with the file closed either way.
     """
     lines = iter(lines)
     chunks = iter(lambda: list(islice(lines, 4096)), [])
-    if path in (None, "-"):
-        try:
-            for chunk in chunks:
-                sys.stdout.write("\n".join(chunk) + "\n")
-            sys.stdout.flush()
-        except BrokenPipeError:
-            raise _StdoutFailed("stdout closed") from None
-        except OSError as exc:
-            raise _StdoutFailed(f"cannot write stdout: {exc.strerror}") from None
-        return
+    to_stdout = path in (None, "-")
     try:
-        with open(path, "w", encoding="utf-8") as out:
+        with (contextlib.nullcontext(sys.stdout) if to_stdout
+              else open(path, "w", encoding="utf-8")) as out:
             for chunk in chunks:
                 out.write("\n".join(chunk) + "\n")
+            out.flush()
     except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+        if not to_stdout:
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+        raise _StdoutFailed(
+            "stdout closed" if isinstance(exc, BrokenPipeError)
+            else f"cannot write stdout: {exc.strerror}") from None
 
 
 def _emit_json(payload, path: Optional[str]) -> None:
@@ -219,10 +217,8 @@ def _cmd_debruijn(c: Coding, args) -> int:
     graph = debruijn.build_graph(c, args.length, args.budget)
     if args.dot:
         _write(args.dot, debruijn.to_dot(graph).splitlines())
-    if args.json_out:
-        _emit_json(_graph_payload(graph), args.json_out)
-    if not args.dot and not args.json_out:
-        _emit_json(_graph_payload(graph), None)
+    if args.json_out or not args.dot:
+        _emit_json(_graph_payload(graph), args.json_out or None)
     return 0
 
 
@@ -462,6 +458,18 @@ _SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose help, its one output to stdout, goes through `_write`,
+    so that a failure to write it ends as a command's output does; its
+    subparsers are of this class too."""
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            _write(None, self.format_help().splitlines())
+        else:
+            super().print_help(file)
+
+
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The `toeplitz` parser, with every subparser, or only `command`'s.
 
@@ -469,7 +477,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     so its usage and error text match the full parser's for any argv that
     starts with that subcommand's name.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toeplitz",
         description="simple Toeplitz subshifts: words, complexity, graphs, "
                     "repetitivity, Boshernitzan checks and Jacobi spectra",
@@ -489,13 +497,16 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args = build_parser(command).parse_args(argv)
-    handler, _, _ = _SUBCOMMANDS[args.command]
+    # the prefix of every stderr line; `toeplitz` alone until parsed
+    name = " ".join(filter(None, ("toeplitz", command)))
     try:
+        args = build_parser(command).parse_args(argv)
+        name = f"toeplitz {args.command}"
+        handler, _, _ = _SUBCOMMANDS[args.command]
         with warnings.catch_warnings():
             # one line naming the command, not a source location
             warnings.showwarning = lambda message, *_, **__: print(
-                f"toeplitz {args.command}: warning: {message}", file=sys.stderr)
+                f"{name}: warning: {message}", file=sys.stderr)
             return handler(
                 None if args.command == "presets" else _resolve(args), args)
     except _StdoutFailed as exc:
@@ -504,13 +515,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print(f"toeplitz {args.command}: {exc}", file=sys.stderr)
+        print(f"{name}: {exc}", file=sys.stderr)
         return STDOUT_CLOSED
     except (BudgetExceeded, HorizonExceeded, PrefixTooShort) as exc:
-        print(f"toeplitz {args.command}: {exc}", file=sys.stderr)
+        print(f"{name}: {exc}", file=sys.stderr)
         return RESOURCE_ERROR
     except (ToeplitzError, ValueError) as exc:
-        print(f"toeplitz {args.command}: {exc}", file=sys.stderr)
+        print(f"{name}: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception:
         import traceback

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import count, islice
+from itertools import count
 from typing import Iterator, Union
 
 from .errors import AllLettersEqual, EmptyCoding, HorizonExceeded, TooSmall
@@ -230,7 +230,8 @@ def normalize(raw: Coding) -> Coding:
 
     if isinstance(raw.tail, GeneratorTail):
         gen = _stack_merge(raw.tail.entries)
-        while pre and gen and pre[-1].letter == gen[0].letter:
+        # gen[1], if any, differs from gen[0]: at most one entry merges
+        if pre and pre[-1].letter == gen[0].letter:
             pre[-1] = _merge(pre[-1], gen[0])
             gen = gen[1:]
         if not gen:
@@ -246,12 +247,8 @@ def normalize(raw: Coding) -> Coding:
     if cyc[0].letter == cyc[-1].letter:
         # wrap merge: unroll the entries E[0] .. E[-2] into the preperiod and
         # restart the cycle at the folded entry E[-1]*E[0]
-        head, folded = cyc[:-1], _merge(cyc[-1], cyc[0])
-        if pre and pre[-1].letter == head[0].letter:
-            pre[-1] = _merge(pre[-1], head[0])
-            head = head[1:]
-        pre.extend(head)
-        cyc = [folded] + cyc[1:-1]
+        pre = _stack_merge(pre + cyc[:-1])
+        cyc = [_merge(cyc[-1], cyc[0])] + cyc[1:-1]
     elif pre and pre[-1].letter == cyc[0].letter:
         # junction merge: absorb the first tail entry, rotate the cycle by one
         pre[-1] = _merge(pre[-1], cyc[0])
@@ -327,26 +324,22 @@ def verdict_jumps(c: Coding, horizon: int
     at least one whole cycle.  A generator tail with fewer than `horizon`
     jumps in its materialized entries raises HorizonExceeded naming both.
     """
-    if not c.is_exact:
-        taken = []
-        try:
-            for triple in islice(jumps(c), horizon):
-                taken.append(triple)
-        except HorizonExceeded:
-            raise HorizonExceeded(
-                f"horizon {horizon} exceeds the {len(taken)} kappa jumps in "
-                f"the generator's {c.horizon} materialized entries") from None
-        return tuple(taken), None
     pre_len, t = len(c.preperiod), len(c.tail.entries)
     taken, seen, cycle = [], {}, None
-    for i, triple in enumerate(jumps(c), start=1):
-        taken.append(triple)
-        if cycle is None and triple[0] >= pre_len + 1:
-            start = seen.setdefault((triple[0] - pre_len) % t, i)
-            if start < i:
-                cycle = start, i - start
-        if cycle is not None and i >= horizon:
-            return tuple(taken), cycle
+    walk = jumps(c)
+    try:
+        while len(taken) < horizon or (c.is_exact and cycle is None):
+            taken.append(triple := next(walk))
+            if c.is_exact and cycle is None and triple[0] > pre_len:
+                i = len(taken)
+                start = seen.setdefault((triple[0] - pre_len) % t, i)
+                if start < i:
+                    cycle = start, i - start
+    except HorizonExceeded:
+        raise HorizonExceeded(
+            f"horizon {horizon} exceeds the {len(taken)} kappa jumps in "
+            f"the generator's {c.horizon} materialized entries") from None
+    return tuple(taken), cycle
 
 
 def scaled_length(c: Coding, k: int) -> int:

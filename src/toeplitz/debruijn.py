@@ -170,15 +170,10 @@ def to_dot(graph: DeBruijnGraph) -> str:
         shape = ' shape=doublecircle' if v in special else ""
         lines.append(f'  "{name}" [label="{name}"{shape}];')
     vertex_set = set(graph.vertices)
-    seen_pairs = set()
-    for v in graph.vertices:
-        mirror = v[::-1]
-        if mirror != v and mirror in vertex_set:
-            pair = tuple(sorted((v, mirror)))
-            if pair not in seen_pairs:
-                seen_pairs.add(pair)
-                a, b = (alphabet.render(w) for w in pair)
-                lines.append(f'  {{ rank=same; "{a}"; "{b}"; }}')
+    for v in graph.vertices:  # each mirror pair once, at its smaller word
+        if v < v[::-1] and v[::-1] in vertex_set:
+            a, b = alphabet.render(v), alphabet.render(v[::-1])
+            lines.append(f'  {{ rank=same; "{a}"; "{b}"; }}')
     for u, v, w in graph.edges:
         label = alphabet.render(w[-1:])
         lines.append(

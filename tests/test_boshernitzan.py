@@ -1,5 +1,6 @@
 """Condition (B): product witnesses, verdicts, and empirical eta floors."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -16,7 +17,7 @@ from toeplitz.coding import (Alphabet, Coding, CodingEntry, GeneratorTail,
                              eventual_alphabet, jumps, normalize,
                              period_product, stabilization_index,
                              tail_alphabet)
-from toeplitz.errors import HorizonExceeded, PrefixTooShort
+from toeplitz.errors import BudgetExceeded, HorizonExceeded, PrefixTooShort
 from toeplitz.language import language
 from toeplitz.presets import grigorchuk, l_grigorchuk, parse_coding_spec
 from toeplitz.verdicts import Status, trend_of
@@ -199,3 +200,17 @@ class TestEta:
     def test_prefix_too_short_rejected(self, grig):
         with pytest.raises(PrefixTooShort):
             estimate_eta(grig, 16, 100)  # needs 10 * (|p(3)| + 1) = 160
+
+    def test_factor_set_is_charged_before_the_prefix_is_counted(self, grig):
+        # counting the 10**6 windows first peaked at about 80 MiB before the
+        # factor set refused; the set alone refuses at about 17 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as refused:
+                estimate_eta(grig, 5000, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == ("the length-5000 factor set exceeds "
+                                      "the budget of 16777216 symbols")
+        assert peak < 24 * 2**20

@@ -405,6 +405,12 @@ class TestExitCodes:
                            "--max-len", "0", "--alpha", "1")
         assert code == 0 and json.loads(out)["verdict"] == "satisfied"
 
+    def test_generator_merged_away_is_usage_error(self, capsys):
+        # the preperiod's a:2 absorbs liuqu(1)'s one entry, also a:2
+        assert run(capsys, "gen", "--coding", "a:2 | @liuqu(1)",
+                   "--length", "4") == (
+            2, "", "toeplitz gen: generator entries merged away entirely\n")
+
     def test_bosh_has_no_json_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bosh", "--preset", "grigorchuk", "--json"])
@@ -575,6 +581,12 @@ class TestReports:
         assert lines[0] == "E,lyapunov" and len(lines) == 4
         assert all(float(line.split(",")[1]) > 0 for line in lines[1:])
 
+    def test_empty_coefficient_items_are_skipped(self, capsys):
+        argv = ("spectrum", "--preset", "grigorchuk", "--size", "8", "--q")
+        code, out, err = run(capsys, *argv, "a=0,,x=1,")
+        assert code == 0 and out.startswith("j,eigenvalue\n")
+        assert (code, out, err) == run(capsys, *argv, "a=0,x=1")
+
     @pytest.mark.parametrize("argv, first_row", [
         (("--size", "4"), "j,eigenvalue"),
         (("--energies", "0:1:2", "--lyapunov", "8"), "E,lyapunov"),
@@ -598,8 +610,8 @@ class TestReports:
 
 
 # sha256 of the stdout of runs that read the repetitivity oracle, the kappa
-# jumps, the eta estimate, the Lyapunov walk and the finite sections: their
-# bytes are part of the CLI's contract
+# jumps, the eta estimate, the de Bruijn graphs, the Lyapunov walk and the
+# finite sections: their bytes are part of the CLI's contract
 STDOUT_DIGESTS = [
     (("repetitivity", "--preset", "grigorchuk", "--max-len", "64",
       "--alpha", "1"),
@@ -648,6 +660,14 @@ STDOUT_DIGESTS = [
     # with neither --dot nor --json, the graph's JSON goes to stdout
     (("debruijn", "--preset", "grigorchuk", "-L", "8"),
      "c8d5245596b605f060f9a00cd44deca7fdffe81f9d87590a5b1173887d71c598"),
+    # mirror pairs in DOT, each once and at its smaller word: 10, 22 and 14
+    # pairs
+    (("debruijn", "--preset", "grigorchuk", "-L", "8", "--dot", "-"),
+     "39ce393b986a6d582d91743909fa878232a0a1eb0efa523d4dea6d3b0380951a"),
+    (("debruijn", "--preset", "l-grigorchuk(1,3)", "-L", "20", "--dot", "-"),
+     "5a1eaddd07c6a06bcdb5ab979f3896052bedb545f7f1bfd1433d4f24217d4f8a"),
+    (("debruijn", "--coding", "a:3 | b:2 c:4 d:2", "-L", "13", "--dot", "-"),
+     "9c95c2f84c3223fb5e46e998af633063fd7b0149b686a5b40e6bbf84d3c09b70"),
     (("spectrum", "--preset", "grigorchuk", "--q", "a=0,x=1,y=2,z=3",
       "--size", "2048"),
      "a0fecbfe6f3121c7fefe09bb01837ed247869c7ebf51ec271dccb3ebcb33d3ae"),
@@ -812,15 +832,21 @@ class TestProcessEntry:
         assert launched[0] == status
 
     def test_failed_flush_at_exit_is_120(self):
-        # stdout is a pipe whose reader is gone; argparse's help, unlike the
-        # commands' output, waits in the buffer until the interpreter's own
-        # flush at exit
+        # stdout is a pipe whose reader is gone; the text the child writes
+        # before `run` waits in the buffer until the interpreter's own flush
+        # at exit, which fails after argparse's usage error has exited 2
         reader, writer = os.pipe()
         os.close(reader)
         try:
-            proc = subprocess.run([sys.executable, "-m", "toeplitz", "--help"],
-                                  stdout=writer, stderr=subprocess.PIPE,
-                                  check=False, env=buffered_env())
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys\n"
+                 "from toeplitz.__main__ import run\n"
+                 "sys.stdout.write('unflushed')\n"
+                 "sys.argv = ['toeplitz', 'nope']\n"
+                 "run()\n"],
+                stdout=writer, stderr=subprocess.PIPE, check=False,
+                env=buffered_env())
         finally:
             os.close(writer)
         assert proc.returncode == 120 and b"BrokenPipeError" in proc.stderr
@@ -828,6 +854,16 @@ class TestProcessEntry:
 
 def table_argv(command: str, max_len: int) -> tuple:
     return (command, "--preset", "grigorchuk", "--max-len", str(max_len))
+
+
+# argparse's help, the full parser's and one subcommand's
+HELP_ARGVS = [("--help",), ("complexity", "--help")]
+HELP_IDS = ["help", "complexity-help"]
+
+
+def prefix(argv) -> str:
+    """What each stderr line of a launch with `argv` starts with."""
+    return "toeplitz" if argv[0].startswith("-") else f"toeplitz {argv[0]}"
 
 
 class TestStreamedOutput:
@@ -857,26 +893,26 @@ class TestStreamedOutput:
     @pytest.mark.parametrize("unbuffered", [False, True],
                              ids=["buffered", "unbuffered"])
     def test_closed_stdout_ends_quietly(self, unbuffered):
-        reader, writer = os.pipe()
-        os.close(reader)
         env = buffered_env()
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "toeplitz",
-                 *table_argv("complexity", 10**5)],
-                stdout=writer, stderr=subprocess.PIPE, check=False, env=env)
-        finally:
-            os.close(writer)
-        assert proc.returncode == 120
-        assert proc.stderr == b"toeplitz complexity: stdout closed\n"
+        for argv in [table_argv("complexity", 10**5), *HELP_ARGVS]:
+            reader, writer = os.pipe()
+            os.close(reader)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "toeplitz", *argv], stdout=writer,
+                    stderr=subprocess.PIPE, check=False, env=env)
+            finally:
+                os.close(writer)
+            assert (proc.returncode, proc.stderr) == (
+                120, f"{prefix(argv)}: stdout closed\n".encode())
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")
-    @pytest.mark.parametrize("argv", [("presets",), table_argv("complexity",
-                                                               10**4)],
-                             ids=["presets", "table"])
+    @pytest.mark.parametrize("argv", HELP_ARGVS + [
+        ("presets",), table_argv("complexity", 10**4)],
+                             ids=HELP_IDS + ["presets", "table"])
     @pytest.mark.parametrize("unbuffered", [False, True],
                              ids=["buffered", "unbuffered"])
     def test_full_stdout_ends_in_one_line(self, argv, unbuffered):
@@ -888,7 +924,7 @@ class TestStreamedOutput:
                                   stdout=full, stderr=subprocess.PIPE,
                                   check=False, env=env)
         assert proc.returncode == 120
-        assert proc.stderr == (f"toeplitz {argv[0]}: cannot write stdout: "
+        assert proc.stderr == (f"{prefix(argv)}: cannot write stdout: "
                                f"{os.strerror(errno.ENOSPC)}\n").encode()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),

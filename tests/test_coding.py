@@ -8,6 +8,8 @@ from itertools import accumulate, islice
 
 import pytest
 from conftest import SHRINKING, squaring_coding
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from oracles import m_sequence
 
 from toeplitz.boshernitzan import bosh_verdict
@@ -21,22 +23,58 @@ from toeplitz.coding import (
     jumps,
     kappa,
     normalize,
+    scaled_length,
     stabilization_index,
     tail_alphabet,
     verdict_jumps,
 )
-from toeplitz.errors import AllLettersEqual, EmptyCoding, HorizonExceeded
+from toeplitz.complexity import complexity_formula, growth_formula
+from toeplitz.debruijn import build_graph, palindrome_formula
+from toeplitz.errors import (AllLettersEqual, EmptyCoding, HorizonExceeded,
+                             TooSmall)
+from toeplitz.language import language
 from toeplitz.presets import grigorchuk, l_grigorchuk, liuqu, parse_coding_spec
-from toeplitz.repetitivity import alpha_verdict
-from toeplitz.spectral import CoefficientMap, TransferMatrix
+from toeplitz.repetitivity import (alpha_verdict, repetitivity_formula,
+                                   repetitivity_oracle)
+from toeplitz.spectral import (CoefficientMap, TransferMatrix, finite_section,
+                               transfer_cocycle)
 from toeplitz.verdicts import Status, Verdict
-from toeplitz.words import UndeterminedPart, level, word_prefix
+from toeplitz.words import UndeterminedPart, block, level, word_prefix
 
 
 def entries(alphabet, spec):
     return tuple(
         CodingEntry(alphabet.by_name(n), p) for n, p in spec
     )
+
+
+def letter_index(c):
+    """The coefficient map q = letter index, p = 1."""
+    return CoefficientMap.from_names(
+        c.alphabet, q={n: i for i, n in enumerate(c.alphabet.names)})
+
+
+XY = Alphabet.from_names("xy")
+# a wrap merge whose unrolled copy starts with the preperiod's last letter
+WRAP_INTO_PREPERIOD = Coding(
+    XY, entries(XY, [("x", 2)]),
+    PeriodicTail(entries(XY, [("x", 2), ("y", 2), ("x", 3)])))
+
+
+@st.composite
+def raw_codings(draw) -> Coding:
+    """Codings as written, before `normalize`: equal neighbours anywhere,
+    over a periodic tail or a generator tail of 9 to 16 entries, enough
+    for a 256-symbol prefix."""
+    alphabet = Alphabet.from_names("xyz")
+    entry = st.builds(CodingEntry, st.integers(0, 2), st.integers(2, 3))
+    pre = tuple(draw(st.lists(entry, max_size=4)))
+    periodic = draw(st.booleans())
+    tail = tuple(draw(st.lists(entry, min_size=1 if periodic else 9,
+                               max_size=5 if periodic else 16)))
+    assume(len({e.letter for e in tail}) >= 2)
+    return Coding(alphabet, pre, PeriodicTail(tail) if periodic
+                  else GeneratorTail("raw", tail, frozenset(range(3))))
 
 
 class TestNormalize:
@@ -64,6 +102,20 @@ class TestNormalize:
         merged = normalize(raw)
         assert merged.preperiod == entries(ab, [("a", 2), ("x", 2), ("y", 2)])
         assert merged.tail.entries == entries(ab, [("x", 6), ("y", 2)])
+
+    def test_wrap_merge_meets_the_preperiod(self):
+        merged = normalize(WRAP_INTO_PREPERIOD)
+        assert merged.preperiod == entries(XY, [("x", 4), ("y", 2)])
+        assert merged.tail.entries == entries(XY, [("x", 6), ("y", 2)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=raw_codings())
+    @example(raw=WRAP_INTO_PREPERIOD)
+    def test_idempotent_and_same_word_on_raw_codings(self, raw):
+        n = normalize(raw)
+        assert normalize(n) == n
+        assert n.is_normalized or not n.is_exact
+        assert word_prefix(n, 256) == word_prefix(raw, 256)
 
     def test_single_letter_tail_rejected(self):
         ab = Alphabet.from_names("ax")
@@ -149,6 +201,9 @@ class TestKappa:
             for k in range(24):
                 assert kappa(c, k) >= k + len(tail_alphabet(c, k + 1))
 
+    def test_only_a_generator_tail_has_a_horizon(self, grig, liu_qu):
+        assert grig.horizon is None and liu_qu.horizon == 512
+
     def test_beyond_generator_horizon(self):
         from toeplitz.presets import liuqu
 
@@ -232,6 +287,19 @@ class TestMSequence:
         assert alpha_verdict(liu_qu, 1, 19).log_ratios == \
             tuple(logs[top - 1] / logs[m] for m, top, _ in taken)
 
+    @pytest.mark.parametrize("horizon", [0, 1, 7, 19])
+    def test_generator_tail_gives_horizon_triples(self, liu_qu, horizon):
+        taken, cycle = verdict_jumps(liu_qu, horizon)
+        assert cycle is None and len(taken) == horizon
+        assert taken == tuple(islice(jumps(liu_qu), horizon))
+
+    def test_horizon_past_the_generator_jumps(self, liu_qu):
+        # liuqu's 512 materialized entries hold 19 kappa jumps
+        with pytest.raises(HorizonExceeded) as exc:
+            verdict_jumps(liu_qu, 20)
+        assert str(exc.value) == ("horizon 20 exceeds the 19 kappa jumps in "
+                                  "the generator's 512 materialized entries")
+
     def test_cycle_detector_bound(self, battery):
         for c in battery:
             start, period = verdict_jumps(c, 0)[1]
@@ -306,6 +374,36 @@ class TestValidation:
         with pytest.raises(error) as made:
             record._make(args)
         assert str(made.value) == str(built.value)
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda c: c.entry(-1), TooSmall, "coding index must be >= 0"),
+        (lambda c: tail_alphabet(c, -1), TooSmall, "index must be >= 0"),
+        (lambda c: scaled_length(c, -2), TooSmall, "level must be >= -1"),
+        (lambda c: complexity_formula(c, -1), TooSmall, "must be >= 0"),
+        (lambda c: growth_formula(c, -1), TooSmall, "must be >= 0"),
+        (lambda c: build_graph(c, 0), TooSmall, "graph length must be >= 1"),
+        (lambda c: palindrome_formula(c, 0), TooSmall, "start at length 1"),
+        (lambda c: language(c, -1), TooSmall, "word length must be >= 0"),
+        (lambda c: repetitivity_formula(c, 0), TooSmall, "start at 1"),
+        (lambda c: repetitivity_oracle(c, 0), TooSmall, "start at 1"),
+        (lambda c: transfer_cocycle(c, letter_index(c), 0, -1), TooSmall,
+         "step count must be >= 0"),
+        (lambda c: finite_section(c, letter_index(c), 1), TooSmall,
+         "size >= 2"),
+        (lambda c: block(c, -1), TooSmall, "block level must be >= 0"),
+        (lambda c: word_prefix(c, -1), TooSmall, "prefix length must be >= 0"),
+        (lambda _: liuqu(0), ValueError, "at least one entry, got 0"),
+        (lambda _: l_grigorchuk(0), ValueError, "exponents must be >= 1"),
+        (lambda _: l_grigorchuk(), EmptyCoding, "at least one exponent"),
+        (lambda c: c.alphabet.by_name("nope"), KeyError, "nope"),
+    ], ids=["entry", "tail-alphabet", "scaled-length", "complexity-formula",
+            "growth-formula", "build-graph", "palindrome-formula", "language",
+            "repetitivity-formula", "repetitivity-oracle", "transfer-cocycle",
+            "finite-section", "block", "word-prefix", "liuqu", "l-grigorchuk",
+            "l-grigorchuk-empty", "by-name"])
+    def test_argument_checks(self, grig, call, error, message):
+        with pytest.raises(error, match=message):
+            call(grig)
 
     @pytest.mark.parametrize("build, fields, error, message", [
         (lambda: Alphabet.from_names("xy"), {"names": ("x", "x")},

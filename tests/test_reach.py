@@ -20,6 +20,7 @@ ENTRY_POINTS = {  # name -> why it stays although no other code in src/ uses it
     "contracted_arcs": "the de Bruijn arcs read off a graph",
     "predicted_arcs": "the paper's de Bruijn arc description",
     "transfer_cocycle": "the exact transfer-matrix cocycle",
+    "print_help": "argparse's help action calls the parser's override",
 }
 
 UNREAD_FIELDS = {  # Class.field -> why it stays although src/ never reads it
