@@ -52,6 +52,7 @@ from .errors import (
     HorizonExceeded,
     PrefixTooShort,
     ToeplitzError,
+    TooManyDigits,
     charge,
 )
 from .presets import PRESET_NAMES, parse_coding_spec, preset
@@ -229,7 +230,12 @@ def _charge_horizon(args) -> None:
 
 
 def _verdict_payload(v) -> dict:
-    """A `verdicts.Verdict` as JSON-ready data."""
+    """A `verdicts.Verdict` as JSON-ready data, checked against the
+    interpreter's limit on the digits of an integer it prints, if any."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(v.witness, default=0) >= 10 ** limit:
+        raise TooManyDigits(f"a witness has more than {limit} digits, the "
+                            "interpreter's limit for printing an integer")
     return {
         "verdict": v.status.value,
         "kind": v.kind,
@@ -517,7 +523,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.close(devnull)
         print(f"{name}: {exc}", file=sys.stderr)
         return STDOUT_CLOSED
-    except (BudgetExceeded, HorizonExceeded, PrefixTooShort) as exc:
+    except (BudgetExceeded, HorizonExceeded, PrefixTooShort,
+            TooManyDigits) as exc:
         print(f"{name}: {exc}", file=sys.stderr)
         return RESOURCE_ERROR
     except (ToeplitzError, ValueError) as exc:

@@ -44,6 +44,10 @@ class PrefixTooShort(ToeplitzError):
     """The sampled prefix is too short for a frequency estimate."""
 
 
+class TooManyDigits(ToeplitzError):
+    """An integer has more digits than the interpreter converts to text."""
+
+
 def charge(units: int, budget: int, what: str, unit: str = "") -> None:
     """Raise `BudgetExceeded` if `what` takes more than `budget` units."""
     if units > budget:

@@ -1,13 +1,13 @@
 """Exact factor and palindrome oracles: what every closed formula is tested against.
 
 Every factor of length at most |p(k)| + 1 occurs inside p(k) a p(k) for some
-letter a in the tail alphabet A_{k+1} (the enclosing-words lemma), so those
-few explicit hosts, built around one shared p(k), hold the whole language up
-to that length.  The repetitivity oracle slides over them itself; two
-oracle tiers here read them, and neither ever sees a formula value:
+letter a in the tail alphabet A_{k+1} (the enclosing-words lemma), so one
+host word p(k) a_1 p(k) a_2 ... a_m p(k) holds the whole language up to that
+length.  The repetitivity oracle slides over it itself; two oracle tiers
+here read it, and neither ever sees a formula value:
 
-- `language` slides a window of one length over the hosts and returns the
-  sorted factor set.  It is the small-L reference and the source of words
+- `language` slides a window of one length over the host word and returns
+  the sorted factor set.  It is the small-L reference and the source of words
   for de Bruijn graphs and right extensions.  Words are kept sorted by
   letter id (bytes order), which makes CLI output and graph layouts stable.
 - `factor_counts` and `palindrome_counts` answer every length up to a bound
@@ -27,15 +27,18 @@ from .errors import TooSmall, WordNotInLanguage, charge
 from .words import DEFAULT_BUDGET, block, level
 
 
-def enclosing_words(c: Coding, length: int,
-                    budget: int = DEFAULT_BUDGET) -> list[bytes]:
-    """The words p(k) a p(k), a in A_{k+1}, that exhaust factors up to `length`.
+def host_word(c: Coding, length: int, budget: int = DEFAULT_BUDGET) -> bytes:
+    """p(k) a_1 p(k) a_2 ... a_m p(k), a_1 < ... < a_m the letters of A_{k+1},
+    for the least k with |p(k)| + 1 >= `length`.
 
-    p(k) is built once and shared by every host.
+    The letters stand |p(k)| + 1 apart, so a window of at most that length
+    meets at most one of them and lies inside one host p(k) a_i p(k): up to
+    that length the word's factors are exactly the language's.
     """
     k = level(c, length - 1).k
     p = block(c, k, budget)
-    return [p + bytes([a]) + p for a in sorted(tail_alphabet(c, k + 1))]
+    return p.join([b"", *(bytes([a]) for a in sorted(tail_alphabet(c, k + 1))),
+                   b""])
 
 
 def language(c: Coding, length: int,
@@ -50,15 +53,15 @@ def language(c: Coding, length: int,
         return (b"",)
     what = f"the length-{length} factor set"
     factors: set[bytes] = set()
-    for w in enclosing_words(c, length, budget):
-        for i in range(len(w) - length + 1):
-            factors.add(w[i:i + length])
-            charge(len(factors) * length, budget, what, " symbols")
+    w = host_word(c, length, budget)
+    for i in range(len(w) - length + 1):
+        factors.add(w[i:i + length])
+        charge(len(factors) * length, budget, what, " symbols")
     return tuple(sorted(factors))
 
 
 def _host_symbols(c: Coding, length: int) -> int:
-    """Total length of `enclosing_words(c, length)`, without building them."""
+    """Total length of the hosts p(k) a p(k) in `host_word(c, length)`."""
     lv = level(c, length - 1)
     return lv.size_next * (2 * lv.p + 1)
 
@@ -67,9 +70,10 @@ def factor_counts(c: Coding, max_len: int,
                   budget: int = DEFAULT_BUDGET) -> list[int]:
     """p(L) for every L <= max_len from one generalized suffix automaton.
 
-    Each host is inserted from the root, so `last` never joins two hosts.
-    A state stands for the factors of lengths len(link) + 1 .. len, and
-    adding those intervals into a difference array counts each factor once.
+    Each host p(k) a p(k) is a slice of the host word inserted from the
+    root, so `last` never joins two hosts.  A state stands for the factors
+    of lengths len(link) + 1 .. len, and adding those intervals into a
+    difference array counts each factor once.
     """
     if max_len < 0:
         raise TooSmall("word length must be >= 0")
@@ -93,9 +97,10 @@ def factor_counts(c: Coding, max_len: int,
         link[q] = clone
         return clone
 
-    for host in enclosing_words(c, max_len, budget):
+    w, step = host_word(c, max_len, budget), level(c, max_len - 1).p + 1
+    for start in range(0, len(w) - step, step):
         last = 0
-        for a in host:
+        for a in w[start:start + 2 * step - 1]:
             if a in nxt[last]:
                 last = split(last, a)
                 continue
@@ -125,9 +130,8 @@ def palindrome_counts(c: Coding, max_len: int,
                       budget: int = DEFAULT_BUDGET) -> list[int]:
     """Palindromic factors of every length L <= max_len from one eertree.
 
-    The suffix pointer restarts at the empty palindrome on each host.  A
-    palindrome met in several hosts reaches the same node, so counting the
-    nodes of each length counts each palindrome once.
+    One pass over the host word: its palindromes up to max_len are the
+    language's, and counting the nodes of each length counts each once.
     """
     if max_len < 0:
         raise TooSmall("word length must be >= 0")
@@ -135,30 +139,29 @@ def palindrome_counts(c: Coding, max_len: int,
     charge(states, budget, f"the eertree needs up to {states} states, which")
     # node 0 is the imaginary root of length -1, node 1 the empty palindrome
     size, link, nxt = [-1, 0], [0, 0], [{}, {}]
+    w = host_word(c, max_len, budget)
 
-    def extendable(v: int, host: bytes, i: int) -> int:
-        """The longest suffix palindrome at or below v that host[i] wraps."""
+    def extendable(v: int, i: int) -> int:
+        """The longest suffix palindrome at or below v that w[i] wraps."""
         while True:
             j = i - size[v] - 1
-            if j >= 0 and host[j] == host[i]:
+            if j >= 0 and w[j] == w[i]:
                 return v
             v = link[v]
 
-    counts = [1] + [0] * max_len
-    for host in enclosing_words(c, max_len, budget):
-        last = 1
-        for i, a in enumerate(host):
-            v = extendable(last, host, i)
-            if a in nxt[v]:
-                last = nxt[v][a]
-                continue
-            last = len(size)
-            size.append(size[v] + 2)
-            link.append(1 if v == 0 else nxt[extendable(link[v], host, i)][a])
-            nxt.append({})
-            nxt[v][a] = last
-            if size[last] <= max_len:
-                counts[size[last]] += 1
+    counts, last = [1] + [0] * max_len, 1
+    for i, a in enumerate(w):
+        v = extendable(last, i)
+        if a in nxt[v]:
+            last = nxt[v][a]
+            continue
+        last = len(size)
+        size.append(size[v] + 2)
+        link.append(1 if v == 0 else nxt[extendable(link[v], i)][a])
+        nxt.append({})
+        nxt[v][a] = last
+        if size[last] <= max_len:
+            counts[size[last]] += 1
     return counts
 
 

@@ -12,8 +12,8 @@ L >= |p(m_1)| - |p(m_1 - 1)| + 1 and reads, per band i,
 Below the validity range the formula refuses (OutOfTheoremRange) and the
 oracle stands alone.  The oracle never consults the formula: R(L) is one
 more than the longest factor missing some length-L factor, read off the gaps
-between occurrences (return words, after Durand 1998) in one slide per host.
-Each slide also lists its host's factors, and their union is the factor set.
+between occurrences (return words, after Durand 1998) in one slide over the
+host word of `language.host_word`.
 Both sides read the jump triples (m_i, kappa(m_i), kappa(m_i - 1)) of
 `coding.jumps`: the formula finds its band there, the verdicts their witnesses.
 
@@ -75,39 +75,34 @@ def formula_valid_from(c: Coding) -> int:
     return next(_bands(c))[0]
 
 
-def _slide(host: bytes, length: int) -> tuple[dict[bytes, int], int]:
-    """Each length-`length` factor's last start in `host`, and the longest
-    factor of `host` that misses one of them.
+def _longest_miss(word: bytes, length: int) -> int:
+    """The longest factor of `word` missing one of its `length`-factors.
 
     The longest factors missing w run between consecutive starts of w, the
-    start -1 standing for the host's start, or on from w's last start.
+    start -1 standing for the word's start, or on from w's last start.
     """
     last: dict[bytes, int] = {}
     widest = 0
-    for i in range(len(host) - length + 1):
-        w = host[i:i + length]
+    for i in range(len(word) - length + 1):
+        w = word[i:i + length]
         gap = i - last.get(w, -1)
         if gap > widest:
             widest = gap
         last[w] = i
-    return last, max(widest + length - 2, len(host) - 1 - min(last.values()))
+    return max(widest + length - 2, len(word) - 1 - min(last.values()))
 
 
 def _least_window(c: Coding, length: int, window: int, budget: int) -> int:
-    """`repetitivity_oracle`, starting with the hosts that cover `window`;
-    any window up to R(length) will do, as the exactness test ignores it."""
-    from .language import enclosing_words
+    """`repetitivity_oracle` from the host word covering `window`, which may
+    be any size up to R(length): the exactness test ignores it."""
+    from .language import host_word
     from .words import level
 
     while True:
-        hosts = enclosing_words(c, window, budget)
-        slides = [_slide(host, length) for host in hosts]
-        factors = len(set().union(*(last for last, _ in slides)))
-        need = 1 + max(miss if len(last) == factors else len(host)
-                       for host, (last, miss) in zip(hosts, slides))
+        need = 1 + _longest_miss(host_word(c, window, budget), length)
         if need <= level(c, window - 1).p + 1:
             return need
-        window = need
+        window = level(c, window - 1).p + 2  # one level up
 
 
 def repetitivity_oracle(c: Coding, length: int,
@@ -115,13 +110,12 @@ def repetitivity_oracle(c: Coding, length: int,
     """Minimal window size containing every length-`length` factor.
 
     R(L) is one more than the longest factor that misses some length-L
-    factor w.  Within a host p(K) a p(K) the longest w-free factors run
-    between consecutive occurrences of w or out to the host's ends, and one
-    slide per host reads them for every w.  The hosts hold every length-L
-    factor between them, so a host without some factor is free of it
-    throughout.  Hosts at level K contain every factor up to length
-    |p(K)| + 1, so an answer of at most |p(K)| + 1 is exact; a larger one is
-    a lower bound, and the hosts are rescanned at the level that covers it.
+    factor w.  Within the host word p(K) a_1 p(K) ... a_m p(K) the longest
+    w-free factors run between consecutive occurrences of w or out to the
+    word's ends, and one slide reads them for every w.  The word's factors
+    up to length |p(K)| + 1 are the language's, so an answer of at most
+    |p(K)| + 1 is exact.  A larger miss may span two hosts and bound
+    nothing, so the word is rescanned one level up.
     """
     if length < 1:
         raise TooSmall("repetitivity lengths start at 1")

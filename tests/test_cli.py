@@ -267,6 +267,33 @@ class TestExitCodes:
         assert elapsed < 1
         assert code == 3 and out == "" and "--horizon" in err
 
+    @pytest.mark.parametrize("argv, over", [
+        (("bosh", "--preset", "l-grigorchuk(14284)"), False),
+        (("bosh", "--preset", "l-grigorchuk(14285)"), True),
+        (("repetitivity", "--preset", "l-grigorchuk(7142)", "--alpha", "1"),
+         False),
+        (("repetitivity", "--preset", "l-grigorchuk(7143)", "--alpha", "1"),
+         True),
+    ], ids=["bosh-4300-digits", "bosh-4301-digits", "alpha-4300-digits",
+            "alpha-4301-digits"])
+    def test_witness_past_the_digit_limit_is_three(self, capsys, argv, over):
+        # witnesses 2**14284 and 2**14285 (bosh), 2**14284 and 2**14286
+        # (alpha): 4300 digits prints, 4301 passes the default limit
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(capsys, *argv)
+        finally:
+            sys.set_int_max_str_digits(previous)
+        if over:
+            assert (code, out) == (3, "")
+            assert err == (f"toeplitz {argv[0]}: a witness has more than 4300 "
+                           "digits, the interpreter's limit for printing an "
+                           "integer\n")
+        else:
+            assert (code, err) == (0, "")
+            assert max(json.loads(out)["witness"]) == 2 ** 14284
+
     def test_zero_jobs_is_usage_error(self, capsys):
         code, out, err = run(capsys, "gen", "--preset", "grigorchuk",
                              "--length", "4", "--jobs", "0")

@@ -12,6 +12,7 @@ from toeplitz.debruijn import palindrome_profile
 from toeplitz.errors import BudgetExceeded, WordNotInLanguage
 from toeplitz.language import (
     factor_counts,
+    host_word,
     language,
     palindrome_counts,
     right_extensions,
@@ -71,6 +72,35 @@ class TestLanguage:
                 prefix = block(c, kappa(c, k))
                 assert set(language(c, length)) == \
                     prefix_factor_set(length, prefix)
+
+
+class TestHostWord:
+    @pytest.mark.parametrize("top", [3, 2], ids=["presets", "battery"])
+    def test_windows_are_those_of_the_hosts(self, grig, battery, top):
+        # the letters stand |p(j)| + 1 apart in the level-j host word, so a
+        # window of at most that length meets one and lies in one host; the
+        # hosts p(k) a p(k) of any level k >= j hold the same windows
+        codings = [grig, l_grigorchuk(1, 3)] if top == 3 else battery
+        for c in codings:
+            for k in range(top + 1):
+                p = block(c, k)
+                hosts = [p + bytes([a]) + p
+                         for a in sorted(tail_alphabet(c, k + 1))]
+                for L in range(1, len(p) + 2):
+                    w = host_word(c, L)
+                    assert prefix_factor_set(L, w) == frozenset().union(
+                        *(prefix_factor_set(L, host) for host in hosts))
+
+    def test_letters_stand_one_block_apart(self, grig, battery):
+        for c in [grig, l_grigorchuk(1, 3), *battery]:
+            for k in range(4):
+                p, letters = block(c, k), sorted(tail_alphabet(c, k + 1))
+                w = host_word(c, len(p) + 1)
+                assert len(w) == len(letters) * (len(p) + 1) + len(p)
+                assert [w[i * (len(p) + 1) + len(p)]
+                        for i in range(len(letters))] == letters
+                assert all(w[i:i + len(p)] == p
+                           for i in range(0, len(w), len(p) + 1))
 
 
 class TestRightExtensions:

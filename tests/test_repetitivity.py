@@ -1,6 +1,7 @@
 """Repetitivity formula vs gap-scan oracle, and alpha-repetitivity verdicts."""
 
 import signal
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,9 @@ from toeplitz.coding import kappa
 from toeplitz.errors import OutOfTheoremRange
 from toeplitz.language import language
 from toeplitz import repetitivity
-from toeplitz.presets import grigorchuk, l_grigorchuk
+from toeplitz.presets import grigorchuk, l_grigorchuk, parse_coding_spec
 from toeplitz.repetitivity import (
-    _slide,
+    _longest_miss,
     alpha_verdict,
     formula_valid_from,
     repetitivity_formula,
@@ -91,40 +92,58 @@ def longest_miss_by_definition(host: bytes, words) -> int:
                if any(w not in host[i:j] for w in words))
 
 
-def longest_miss(host: bytes, words) -> int:
-    """The oracle's value for one host: the slide's longest miss, or the
-    whole host when some word never occurs in it."""
-    last, miss = _slide(host, len(words[0]))
-    return miss if len(last) == len(words) else len(host)
-
-
 class TestLongestMiss:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), length=st.integers(1, 4),
            letters=st.integers(2, 3))
     def test_matches_the_definition(self, data, length, letters):
-        def strings(lo, hi):
-            return st.lists(st.integers(0, letters - 1), min_size=lo,
-                            max_size=hi).map(bytes)
-
-        host = data.draw(strings(length, 14))
-        extra = data.draw(st.lists(strings(length, length), max_size=2))
-        words = tuple(sorted(prefix_factor_set(length, host) | set(extra)))
-        assert longest_miss(host, words) == \
+        host = data.draw(st.lists(st.integers(0, letters - 1), min_size=length,
+                                  max_size=14).map(bytes))
+        words = prefix_factor_set(length, host)
+        assert _longest_miss(host, length) == \
             longest_miss_by_definition(host, words)
 
     @pytest.mark.parametrize("host, words, want", [
-        (b"abab", (b"ab", b"ba", b"bb"), 4),  # bb never occurs
         (b"aaaa", (b"aa",), 1),  # overlapping occurrences
         (b"abaab", (b"aa", b"ab", b"ba"), 3),  # ab at both ends
         (b"abba", (b"a", b"b"), 2),  # a at both ends
         (b"aab", (b"a", b"b"), 2),  # only the stretch before b's first start
         (b"baa", (b"a", b"b"), 2),  # only the stretch after b's last start
-    ], ids=["absent-word", "overlapping", "both-ends", "both-ends-letter",
-            "before-first", "after-last"])
+    ], ids=["overlapping", "both-ends", "both-ends-letter", "before-first",
+            "after-last"])
     def test_pinned_cases(self, host, words, want):
-        assert longest_miss(host, words) == want
+        assert set(words) == prefix_factor_set(len(words[0]), host)
+        assert _longest_miss(host, len(words[0])) == want
         assert longest_miss_by_definition(host, words) == want
+
+
+@pytest.mark.parametrize("c, length", [
+    (grigorchuk(), 1),
+    (l_grigorchuk(1, 3), 1),
+    (parse_coding_spec("b:4 c:2 | a:2 c:3"), 2),
+], ids=["grigorchuk", "l-grigorchuk(1,3)", "b:4 c:2 | a:2 c:3"])
+def test_oracle_climbs_one_level_per_rescan(monkeypatch, c, length):
+    # a miss longer than |p(K)| + 1 may span two hosts of the host word and
+    # bound nothing, so the rescan moves up one level, not to that length
+    import toeplitz.language
+
+    built, real = [], toeplitz.language.block
+    monkeypatch.setattr(toeplitz.language, "block",
+                        lambda c, k, *rest: built.append(k) or real(c, k, *rest))
+    repetitivity_oracle(c, length)
+    assert built == [0, 1, 2, 3]
+
+
+def test_oracle_memory_is_one_slide_over_the_host_word():
+    # one dict over the host word peaks near 2.7 MiB at L = 1000 (CPython
+    # 3.11); one dict per host p(K) a p(K) took 15.9 MiB
+    tracemalloc.start()
+    try:
+        assert repetitivity_oracle(grigorchuk(), 1000) == 8679
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def proposition_bounds_hold(c, i):
