@@ -17,8 +17,11 @@ the letters at k+1 and k+2.  Two walks compute those products:
 coefficients and E are Fractions, and `lyapunov_over_grid` walks an energy
 grid one energy at a time, carrying the product's four entries as scalar
 Python floats, and returns one Lyapunov estimate (1/n) log ||cocycle(n)||
-per energy, a float.  The tests hold the float walk to the exact one, and
-bit for bit to a numpy walk over the whole grid.
+per energy, a float.  Where every letter it reads shares one p, so that
+each step's off-diagonal ratio is -1 exactly, it walks four steps per
+iteration and subtracts in place of that multiply, with the same bytes.
+The tests hold the float walk to the exact one, and bit for bit to a
+numpy walk over the whole grid.
 
 Finite sections are truncations to positions 0..N-1 of the one-sided
 representative word with zero boundary conditions: real symmetric
@@ -305,9 +308,21 @@ def lyapunov_over_grid(c: Coding, coeff: CoefficientMap,
     is not finite, because an entry or the final norm overflowed a float,
     raises OverflowError at the first such energy.
 
+    Where every pair the walk reads has sb == -1.0 exactly, as when all
+    letters share one p (the Schroedinger case, or `--p const=c`), the
+    blocks that a rescaling ends go four steps at a time: once per call
+    each aligned run of four pair numbers is numbered as one gram, and per
+    energy a table gives each gram its (s1, s2, s3, s4).  There sb x is
+    exactly -x, and s a + (-x) is exactly s a - x in IEEE arithmetic,
+    signed zeros and infinities included; only a NaN's sign may differ,
+    and a NaN entry always ends in OverflowError.  So each step drops the
+    multiply by sb and keeps its bytes.  The steps after the last
+    rescaling, fewer than RENORM_EVERY, take the one-step recurrence, as
+    every step does for any other p.
+
     A launch at n = 4096 on a shared 2-core host was faster than one that
     imports numpy and walks the whole grid with it, up to somewhere between
-    250 and 400 energies (README), and slower above.
+    500 and 800 energies (README), and slower above.
     """
     if n < 1:
         raise TooSmall("lyapunov estimates need n >= 1")
@@ -324,22 +339,53 @@ def lyapunov_over_grid(c: Coding, coeff: CoefficientMap,
     p, q = coeff.p_values, coeff.q_values
     pairs = [(float(q[first]), float(p[second]),
               -float(p[first]) / float(p[second])) for first, second in kind_of]
-    ends = [*range(RENORM_EVERY, n, RENORM_EVERY), n]
+    cut = n - n % RENORM_EVERY  # the steps of the blocks a rescaling ends
+    fours = all(sb == -1.0 for _, _, sb in pairs)
+    if fours:
+        # the gram of steps 4j..4j+3 reads five adjacent symbols.  Those
+        # that are not the first level's letter stand |p(1)| + 1 apart and
+        # are adjacent symbols of the word of the coding's later levels, so
+        # m letters make at most 5m + 1 grams; n symbols hold at most
+        # log2(n) + 1 letters, so the grams' numbers fit a byte for any n a
+        # host can store
+        gram_of = {}
+        grams = bytes(gram_of.setdefault(kinds[i:i + 4], len(gram_of))
+                      for i in range(0, cut, 4))
     values = []
     for E in grid:
         steps = [((E - q1) / p2, sb) for q1, p2, sb in pairs]
+        # one iterator zipped with itself hands out one block at a time
+        if fours:
+            s_of = [s for s, _ in steps]
+            table = [(s_of[k1], s_of[k2], s_of[k3], s_of[k4])
+                     for k1, k2, k3, k4 in gram_of]
+            blocks = zip(*[map(table.__getitem__, grams)] * (RENORM_EVERY // 4))
+        else:
+            blocks = zip(*[map(steps.__getitem__, kinds[:cut])] * RENORM_EVERY)
         a, b, x, y = 1.0, 0.0, 0.0, 1.0  # top row (a, b), bottom row (x, y)
-        log_scale, start = 0.0, 0
-        for stop in ends:
-            for s, sb in map(steps.__getitem__, kinds[start:stop]):
-                a, x = s * a + sb * x, a
-                b, y = s * b + sb * y, b
-            if stop % RENORM_EVERY == 0:
-                scale = max(abs(a), abs(b), abs(x), abs(y))
-                if scale > 0:  # not for an all-zero product, nor a NaN scale
-                    a, b, x, y = a / scale, b / scale, x / scale, y / scale
-                    log_scale += math.log(scale)
-            start = stop
+        log_scale = 0.0
+        for block in blocks:
+            if fours:  # x and a take turns holding the newer top entry
+                for s1, s2, s3, s4 in block:
+                    x = s1 * a - x
+                    a = s2 * x - a
+                    x = s3 * a - x
+                    a = s4 * x - a
+                    y = s1 * b - y
+                    b = s2 * y - b
+                    y = s3 * b - y
+                    b = s4 * y - b
+            else:
+                for s, sb in block:
+                    a, x = s * a + sb * x, a
+                    b, y = s * b + sb * y, b
+            scale = max(abs(a), abs(b), abs(x), abs(y))
+            if scale > 0:  # not for an all-zero product, nor a NaN scale
+                a, b, x, y = a / scale, b / scale, x / scale, y / scale
+                log_scale += math.log(scale)
+        for s, sb in map(steps.__getitem__, kinds[cut:]):
+            a, x = s * a + sb * x, a
+            b, y = s * b + sb * y, b
         norm = TransferMatrix(a, b, x, y).operator_norm()
         value = (log_scale + math.log(max(norm, 1e-300))) / n
         if not math.isfinite(value):

@@ -678,6 +678,15 @@ STDOUT_DIGESTS = [
     (("spectrum", "--preset", "grigorchuk", "--q", "a=0,x=1,y=2,z=3",
       "--energies=-3:6:31", "--lyapunov", "33"),
      "d4ac353b7ddbc5afa24c5ca443232eae9645d1df25eeecb4474af3c3d7398e05"),
+    # one p for every letter: the walk goes four steps at a time up to its
+    # last rescaling and ends in three single steps; the digests are the
+    # parent walk's, which multiplied every step by -p1 / p2
+    (("spectrum", "--preset", "grigorchuk", "--q", "a=0,x=1,y=2,z=3",
+      "--p", "const=-2", "--energies=-3:6:31", "--lyapunov", "4099"),
+     "5615b3a868edce1bc367eb675f8f05dd3225763772190f46bbfb51c730c7ed25"),
+    (("spectrum", "--preset", "grigorchuk", "--q", "a=0,x=1,y=2,z=3",
+      "--energies=-3:6:31", "--lyapunov", "35"),
+     "52dd0a3370d2c3ae6c07d1855d32165f1ab68827618ae0f8a85b0f45c258a898"),
     # varied p, so the off-diagonal ratio -p1 / p2 is not -1, and n = 2000
     # is no multiple of RENORM_EVERY, so the walk ends in a short block that
     # no rescaling follows

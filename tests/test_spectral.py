@@ -1,7 +1,9 @@
 """Cocycles, Lyapunov estimates, and finite-section spectra."""
 
+import inspect
 import math
 import random
+import sys
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -17,7 +19,7 @@ from oracles import cover_length, numpy_lyapunov_over_grid, spectral_bounds
 
 from toeplitz import spectral
 from toeplitz.coding import Alphabet, Coding, CodingEntry, PeriodicTail, normalize
-from toeplitz.presets import preset
+from toeplitz.presets import parse_coding_spec, preset
 from toeplitz.spectral import (
     RENORM_EVERY,
     CoefficientMap,
@@ -165,6 +167,44 @@ def walk_outcome(walk, *args) -> str:
         return "OverflowError"
 
 
+def walks_by_fours(c, coeff, n) -> bool:
+    """Whether `lyapunov_over_grid` runs its four-step body: line tracing
+    sees the body's first line run."""
+    lines, start = inspect.getsourcelines(lyapunov_over_grid)
+    body = start + next(i for i, line in enumerate(lines)
+                        if line.strip() == "x = s1 * a - x")
+    code, ran = lyapunov_over_grid.__code__, set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return trace
+
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        lyapunov_over_grid(c, coeff, [0.5], n)
+    finally:
+        sys.settrace(outer)
+    return body in ran
+
+
+# walks that end on a rescaling, one to three steps short of one or past
+# one, and in one to three steps past the last whole four
+WALK_LENGTHS = [1, 2, 3, 4, 5, 31, 32, 33, 35, 36, 1000, 4099]
+
+
+def assert_walk(c, coeff, n, fours):
+    """The walk runs its four-step body exactly when `fours`, and agrees
+    bit for bit with the numpy walk."""
+    energies = [-3.0, -1.0, 0.0, 0.5, 2.0, 5.5]
+    assert walks_by_fours(c, coeff, n) == fours
+    assert walk_outcome(lyapunov_over_grid, c, coeff, energies, n) == \
+        walk_outcome(numpy_lyapunov_over_grid, c, coeff, energies, n)
+
+
 class TestLyapunov:
     def test_free_energy_zero_vanishes(self, grig, free_coeff):
         assert abs(one_energy_estimate(grig, free_coeff, 0.0, 2048)) <= 1e-9
@@ -224,7 +264,10 @@ class TestLyapunov:
 
     @settings(max_examples=200, deadline=None)
     @given(index=st.integers(0, len(BATTERY) - 1),
-           p=st.lists(st.one_of(nonzero, extreme), min_size=5, max_size=5),
+           # one p for every letter walks four steps at a time
+           p=st.one_of(st.lists(st.one_of(nonzero, extreme), min_size=5,
+                                max_size=5),
+                       st.one_of(nonzero, extreme).map(lambda v: [v] * 5)),
            q=st.lists(st.one_of(small, extreme), min_size=5, max_size=5),
            energies=st.lists(st.one_of(small.map(float), extreme),
                              min_size=1, max_size=6),
@@ -250,6 +293,35 @@ class TestLyapunov:
                                tuple(q[:letters]))
         assert walk_outcome(lyapunov_over_grid, c, coeff, energies, n) == \
             walk_outcome(numpy_lyapunov_over_grid, c, coeff, energies, n)
+
+    # p at 1 and at the extreme scales, where sb x is exactly -x; the blocks
+    # that a rescaling ends go four steps at a time
+    @pytest.mark.parametrize("n", WALK_LENGTHS)
+    @pytest.mark.parametrize("p", [1, -2, 1e150])
+    def test_one_p_walks_by_fours_bit_for_bit(self, grig, p, n):
+        coeff = CoefficientMap.from_names(
+            grig.alphabet, q={"a": 0, "x": 1, "y": 2, "z": 3},
+            p=dict.fromkeys("axyz", p))
+        assert_walk(grig, coeff, n, fours=n >= RENORM_EVERY)
+
+    # -1 / (1 + 2^-52) and -(1 + 2^-52) round to no -1.0, so every step
+    # multiplies by sb
+    @pytest.mark.parametrize("n", WALK_LENGTHS)
+    def test_p_an_ulp_apart_walks_by_ones_bit_for_bit(self, two_letter, n):
+        coeff = CoefficientMap(two_letter.alphabet, (1, 1 + 2.0 ** -52),
+                               (0, 1))
+        assert_walk(two_letter, coeff, n, fours=False)
+
+    # g first shows at symbol 63, and a walk of n steps reads symbols 1 to
+    # n + 1: only a p that the walk reads decides the path
+    @pytest.mark.parametrize("n, fours", [(32, True), (35, True), (61, True),
+                                          (62, False), (99, False)])
+    def test_a_p_the_walk_never_reads_keeps_the_four_steps(self, n, fours):
+        c = parse_coding_spec("a:2 b:2 c:2 d:2 e:2 f:2 | g:2 h:2")
+        assert c.alphabet.names[6] == "g" and word_prefix(c, 64)[63] == 6
+        coeff = CoefficientMap(c.alphabet, (1, 1, 1, 1, 1, 1, 5, 1),
+                               tuple(range(8)))
+        assert_walk(c, coeff, n, fours)
 
     def test_grid_energies_are_independent(self, grig, grig_coeff):
         lo, hi = spectral_bounds(grig_coeff)
