@@ -28,7 +28,7 @@ none of them.
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .coding import (
     Coding,
@@ -38,6 +38,9 @@ from .coding import (
 )
 from .errors import DEFAULT_BUDGET, PrefixTooShort
 from .verdicts import Status, Verdict, trend_of
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class BoshVerdict(NamedTuple):

@@ -27,8 +27,8 @@ launch loads `cli`, `errors`, `presets` and `coding`, and per path only:
   `language` and `fractions`;
 - `spectrum`: `words` and `spectral`.  `--energies` imports neither numpy,
   `ctypes` nor `fractions`; `--size` imports `ctypes` to call LAPACK's
-  `dsterf` from numpy's wheel, and numpy only where that wheel bundles no
-  `dsterf`.
+  `dstev` from numpy's wheel, and numpy only where that wheel bundles no
+  `dstev`.
 
 Every record is a named tuple, not a dataclass, so no subcommand imports
 `dataclasses` or `inspect` (numpy's own start-up does).

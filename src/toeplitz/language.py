@@ -33,12 +33,16 @@ def host_word(c: Coding, length: int, budget: int = DEFAULT_BUDGET) -> bytes:
 
     The letters stand |p(k)| + 1 apart, so a window of at most that length
     meets at most one of them and lies inside one host p(k) a_i p(k): up to
-    that length the word's factors are exactly the language's.
+    that length the word's factors are exactly the language's.  The block,
+    then the whole word, count against `budget` before the word is joined.
     """
     k = level(c, length - 1).k
     p = block(c, k, budget)
-    return p.join([b"", *(bytes([a]) for a in sorted(tail_alphabet(c, k + 1))),
-                   b""])
+    letters = sorted(tail_alphabet(c, k + 1))
+    size = (len(letters) + 1) * len(p) + len(letters)
+    charge(size, budget, f"the level-{k} host word of {size} symbols",
+           " symbols")
+    return p.join([b"", *(bytes([a]) for a in letters), b""])
 
 
 def language(c: Coding, length: int,

@@ -31,10 +31,16 @@ and `verdicts`, so a launch that takes one path compiles none of the other's.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Union
 
 from .coding import Coding, jumps, period_product, verdict_jumps
 from .errors import DEFAULT_BUDGET, OutOfTheoremRange, TooSmall
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .verdicts import Status
+    from .words import Row
 
 
 def _bands(c: Coding) -> Iterator[tuple[int, int, int, int]]:

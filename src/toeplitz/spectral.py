@@ -27,16 +27,16 @@ Finite sections are truncations to positions 0..N-1 of the one-sided
 representative word with zero boundary conditions: real symmetric
 tridiagonal matrices whose spectra approximate the operator spectrum.
 They stay as a diagonal and an off-diagonal of Python floats; LAPACK's
-tridiagonal `dsterf`, called through ctypes from the OpenBLAS bundled in
-numpy's wheel, takes their eigenvalues in O(N^2) time and O(N) memory, the
-same floats a dense solver gives, without importing numpy.  Only sections
-where numpy bundles no such library import numpy: its dense `eigvalsh`
-takes their eigenvalues instead.  Cantor structure or measure-zero claims
-are never asserted here.
+tridiagonal driver `dstev`, called through ctypes from the OpenBLAS bundled
+in numpy's wheel, takes their eigenvalues in O(N^2) time and O(N) memory,
+the same floats a dense solver gives, without importing numpy.  Only
+sections where numpy bundles no such library import numpy: its dense
+`eigvalsh` takes their eigenvalues instead.  Cantor structure or
+measure-zero claims are never asserted here.
 
 Each import sits where it is used: `fractions` in the exact mode's division,
 `ctypes`, `importlib.util` and `pathlib` in the finite sections' search for
-`dsterf` and call of it, and numpy in their fallback.  A Lyapunov scan
+`dstev` and call of it, and numpy in their fallback.  A Lyapunov scan
 loads none of them.
 """
 
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 import warnings
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
@@ -181,20 +180,16 @@ def finite_section(c: Coding, coeff: CoefficientMap, size: int,
     return [qs[w] for w in word[:size]], [ps[w] for w in word[1:size]]
 
 
-_TINY_OVER_EPS = sys.float_info.min / sys.float_info.epsilon
-_RMIN = math.sqrt(_TINY_OVER_EPS)
-_RMAX = math.sqrt(1.0 / _TINY_OVER_EPS)
-
-
 @functools.cache
-def _dsterf():
-    """LAPACK's `dsterf` from the OpenBLAS in numpy's wheel, or None.
+def _dstev():
+    """LAPACK's `dstev` from the OpenBLAS in numpy's wheel, or None.
 
     numpy's wheels ship scipy-openblas64 as
     `<site-packages>/numpy.libs/libscipy_openblas64_*.so`; `find_spec`
     locates numpy without importing it, and ctypes loads the library
     alone.  Its symbols carry a `scipy_` prefix and a `64_` suffix, and its
-    integers are 64-bit.  A numpy built against another LAPACK, or whose
+    integers are 64-bit; a Fortran CHARACTER argument adds a hidden length
+    after the others.  A numpy built against another LAPACK, or whose
     wheel bundles an older OpenBLAS, has no such file.
     """
     import ctypes
@@ -207,14 +202,16 @@ def _dsterf():
     libs = Path(spec.origin).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
-            dsterf = ctypes.CDLL(str(path)).scipy_dsterf_64_
+            dstev = ctypes.CDLL(str(path)).scipy_dstev_64_
         except (OSError, AttributeError):
             continue
         integer = ctypes.POINTER(ctypes.c_int64)
         array = ctypes.POINTER(ctypes.c_double)
-        dsterf.argtypes = [integer, array, array, integer]
-        dsterf.restype = None
-        return dsterf
+        # JOBZ, N, D, E, Z, LDZ, WORK, INFO and JOBZ's length
+        dstev.argtypes = [ctypes.c_char_p, integer, array, array, array,
+                          integer, array, integer, ctypes.c_size_t]
+        dstev.restype = None
+        return dstev
     return None
 
 
@@ -222,19 +219,17 @@ def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
                             budget: int = DEFAULT_BUDGET) -> tuple[float, ...]:
     """Eigenvalues of the finite section, sorted ascending.
 
-    LAPACK's `dsterf` (root-free QL/QR), called through ctypes from the
+    LAPACK's tridiagonal driver `dstev`, called through ctypes from the
     OpenBLAS bundled in numpy's wheel, runs on the diagonal and
     off-diagonal directly, in O(N^2) time and O(N) memory, and returns the
     same floats as the dense `np.linalg.eigvalsh`: its `dsyevd` leaves a
-    tridiagonal matrix as it is and calls `dsterf` too, after two steps
-    repeated here.  It scales the matrix by sigma when the largest entry
-    lies outside [sqrt(tiny/eps), sqrt(eps/tiny)] and multiplies the
-    eigenvalues by 1/sigma; and its dense sum turns a -0.0 diagonal entry
-    into 0.0, hence `+ 0.0`.  Each step is one IEEE operation per entry on
-    Python floats, the one numpy does, so numpy is not imported.  Where
-    numpy's wheel carries no such library, numpy's dense `eigvalsh` of the
-    assembled matrix runs instead, and where numpy is not installed either,
-    ValueError says so.
+    tridiagonal matrix as it is, scales it as `dstev` does when the largest
+    entry lies outside [sqrt(tiny/eps), sqrt(eps/tiny)], and calls the same
+    root-free QL/QR `dsterf`.  Only numpy's dense sum adds a step: it turns
+    a -0.0 diagonal entry into 0.0, hence `+ 0.0`.  So numpy is not
+    imported.  Where numpy's wheel carries no such library, numpy's dense
+    `eigvalsh` of the assembled matrix runs instead, and where numpy is not
+    installed either, ValueError says so.
 
     A size-N section still counts N * N entries against `budget`, as the
     dense solver did, so `--budget` stops the same sizes.  Infinite or NaN
@@ -246,11 +241,10 @@ def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
                " matrix entries")
     diag, off = finite_section(c, coeff, size, budget)
     _warn_if_degenerate(coeff)
-    entries = diag + off
-    if not all(map(math.isfinite, entries)):
+    if not all(map(math.isfinite, diag + off)):
         raise ValueError("array must not contain infs or NaNs")
-    dsterf = _dsterf()
-    if dsterf is None:
+    dstev = _dstev()
+    if dstev is None:
         try:
             import numpy as np
         except ImportError:
@@ -263,24 +257,19 @@ def finite_section_spectrum(c: Coding, coeff: CoefficientMap, size: int,
 
     import ctypes
 
-    norm = max(map(abs, entries))
-    sigma = 1.0
-    if 0 < norm < _RMIN:
-        sigma = _RMIN / norm
-    elif norm > _RMAX:
-        sigma = _RMAX / norm
-    # dsterf overwrites both arrays, and leaves the eigenvalues in d
-    d = (ctypes.c_double * size)(*[(v + 0.0) * sigma for v in diag])
-    e = (ctypes.c_double * (size - 1))(*[v * sigma for v in off])
+    # dstev overwrites both arrays, and leaves the eigenvalues in d; with
+    # JOBZ = 'N' it reads neither Z nor WORK
+    d = (ctypes.c_double * size)(*[v + 0.0 for v in diag])
+    e = (ctypes.c_double * (size - 1))(*off)
     info = ctypes.c_int64()
-    dsterf(ctypes.byref(ctypes.c_int64(size)), d, e, ctypes.byref(info))
-    if info.value > 0:
+    dstev(b"N", ctypes.byref(ctypes.c_int64(size)), d, e, None,
+          ctypes.byref(ctypes.c_int64(1)), None, ctypes.byref(info), 1)
+    if info.value > 0:  # the count of entries dsterf left unconverged
         import numpy as np
 
         raise np.linalg.LinAlgError(
             f"dsterf did not converge (LAPACK info={info.value})")
-    inverse = 1.0 / sigma
-    return tuple([v * inverse for v in d])
+    return tuple(d)
 
 
 def energy_grid(lo: float, hi: float, steps: int) -> list[float]:

@@ -6,13 +6,16 @@ import errno
 import gc
 import hashlib
 import importlib
+import inspect
 import json
 import os
+import pkgutil
 import signal
 import subprocess
 import sys
 import threading
 import time
+import typing
 
 import pytest
 from conftest import child_env
@@ -196,7 +199,8 @@ class TestExitCodes:
          "budget"),
         (("repetitivity", "--preset", "grigorchuk", "--max-len", "40",
           "--budget", "100"),
-         "|p(6)| = 127 exceeds the budget of 100 symbols"),
+         "the level-4 host word of 127 symbols exceeds the budget of 100 "
+         "symbols"),
         (("spectrum", "--preset", "grigorchuk", "--size", "64",
           "--budget", "1000"),
          "a 64 x 64 finite section exceeds the budget of 1000 matrix entries"),
@@ -400,11 +404,11 @@ class TestExitCodes:
         assert "factor c never occurs in the first 20 symbols" in err
 
     def test_unconverged_section_is_usage_error(self, capsys, monkeypatch):
-        def unconverged(n, d, e, info):
+        def unconverged(jobz, n, d, e, z, ldz, work, info, jobz_length):
             info._obj.value = 1
 
         # the LinAlgError comes from a numpy imported only on this branch
-        monkeypatch.setattr(spectral, "_dsterf", lambda: unconverged)
+        monkeypatch.setattr(spectral, "_dstev", lambda: unconverged)
         code, out, err = run(capsys, "spectrum", "--preset", "grigorchuk",
                              "--q", "a=0,x=1,y=2,z=3", "--size", "8")
         assert (code, out) == (2, "")
@@ -412,7 +416,7 @@ class TestExitCodes:
                        "(LAPACK info=1)\n")
 
     def test_section_without_numpy_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(spectral, "_dsterf", lambda: None)
+        monkeypatch.setattr(spectral, "_dstev", lambda: None)
         monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
         code, out, err = run(capsys, "spectrum", "--preset", "grigorchuk",
                              "--q", "a=0,x=1,y=2,z=3", "--size", "8")
@@ -793,8 +797,8 @@ class TestImports:
     @pytest.mark.parametrize("label", IMPORTS)
     def test_each_command_loads_only_its_modules(self, label):
         argv, own = IMPORTS[label]
-        if label == "spectrum-size" and spectral._dsterf() is None:
-            # the dense fallback, where no `dsterf` is bundled, loads numpy
+        if label == "spectrum-size" and spectral._dstev() is None:
+            # the dense fallback, where no `dstev` is bundled, loads numpy
             # and what numpy's own start-up imports (`inspect`, for one)
             own += " " + " ".join(tracked_modules("    import numpy\n")[1])
         code, loaded = tracked_modules(
@@ -805,6 +809,34 @@ class TestImports:
         assert loaded == sorted({
             m if m == "toeplitz" or m in TRACKED else f"toeplitz.{m}"
             for m in [*base, *own.split()]})
+
+
+def test_annotations_resolve_with_the_type_checking_imports():
+    """Each annotation names a type bound at module level, at run time or
+    under `if TYPE_CHECKING:`, which static checkers read and the
+    interpreter skips."""
+    import toeplitz
+
+    unresolved = []
+    for info in pkgutil.iter_modules(toeplitz.__path__):
+        module = importlib.import_module(f"toeplitz.{info.name}")
+        namespace = dict(vars(module))
+        for node in ast.parse(inspect.getsource(module)).body:
+            if isinstance(node, ast.If) and ast.unparse(node.test) == \
+                    "TYPE_CHECKING":
+                exec(compile(ast.Module(node.body, []), module.__file__,
+                             "exec"), namespace)
+        for obj in vars(module).values():
+            if not (inspect.isclass(obj) or inspect.isfunction(obj)) \
+                    or obj.__module__ != module.__name__:
+                continue
+            methods = vars(obj).values() if inspect.isclass(obj) else ()
+            for target in [obj, *filter(inspect.isfunction, methods)]:
+                try:
+                    typing.get_type_hints(target, globalns=namespace)
+                except NameError as exc:
+                    unresolved.append(f"{target.__qualname__}: {exc}")
+    assert unresolved == []
 
 
 # one argv per exit status of a launch: output, argparse's usage error and a
@@ -973,6 +1005,24 @@ class TestStreamedOutput:
         assert proc.returncode == 2 and proc.stdout == b""
         assert proc.stderr == (f"toeplitz {argv[0]}: cannot write /dev/full: "
                                f"{os.strerror(errno.ENOSPC)}\n").encode()
+
+    @pytest.mark.skipif(sys.platform == "win32",
+                        reason="needs the resource module")
+    def test_host_word_past_the_budget_is_refused_before_it_is_built(self):
+        # 200 letters of period 2: the level-20 host word holds 421527551
+        # symbols, and the 32767-symbol block alone stayed under the budget
+        coding = "|" + "".join(f" l{i}:2" for i in range(200))
+        proc = run_fresh(
+            "import resource, runpy, sys\n"
+            "limit = 300000 * 1024  # ulimit -v 300000\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "sys.argv[0] = 'toeplitz'\n"
+            "runpy.run_module('toeplitz', run_name='__main__')\n",
+            "language", "--coding", coding, "-L", "2000000")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "toeplitz language: the level-20 host word of 421527551 symbols "
+            "exceeds the budget of 16777216 symbols\n")
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs mkfifo")
     def test_fifo_whose_reader_leaves_is_a_usage_error(self, tmp_path):

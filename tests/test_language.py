@@ -102,6 +102,13 @@ class TestHostWord:
                 assert all(w[i:i + len(p)] == p
                            for i in range(0, len(w), len(p) + 1))
 
+    def test_whole_word_counts_against_the_budget(self, grig):
+        # length 40 takes level 5: |p(5)| = 63 and three letters in A_6
+        with pytest.raises(BudgetExceeded,
+                           match="level-5 host word of 255 symbols"):
+            host_word(grig, 40, budget=254)
+        assert len(host_word(grig, 40, budget=255)) == 255
+
 
 class TestRightExtensions:
     def test_branching_letter(self, grig):

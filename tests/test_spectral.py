@@ -468,7 +468,7 @@ def assert_section_maps_match_dense(name, qp):
 
 class TestDenseIdentity:
     """The tridiagonal solver prints the same floats as the dense one, and
-    so does the dense fallback that runs where numpy bundles no `dsterf`."""
+    so does the dense fallback that runs where numpy bundles no `dstev`."""
 
     @pytest.mark.parametrize("qp", SECTION_MAPS)
     @pytest.mark.parametrize("name", SECTION_CODINGS)
@@ -479,13 +479,13 @@ class TestDenseIdentity:
     @pytest.mark.parametrize("name", SECTION_CODINGS)
     def test_presets_and_battery_without_bundled_lapack(self, monkeypatch,
                                                         name, qp):
-        monkeypatch.setattr(spectral, "_dsterf", lambda: None)
+        monkeypatch.setattr(spectral, "_dstev", lambda: None)
         assert_section_maps_match_dense(name, qp)
 
     def test_bundled_lapack_is_found_where_numpy_ships_it(self):
         libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
         shipped = any(libs.glob("libscipy_openblas64_*.so"))
-        assert (spectral._dsterf() is not None) == shipped
+        assert (spectral._dstev() is not None) == shipped
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("field", ["q", "p"])
@@ -493,7 +493,7 @@ class TestDenseIdentity:
     def test_non_finite_entries_raise(self, monkeypatch, grig, solver, field,
                                       bad):
         if solver == "dense":
-            monkeypatch.setattr(spectral, "_dsterf", lambda: None)
+            monkeypatch.setattr(spectral, "_dstev", lambda: None)
         values = {"q": [0.0, 1.0, 2.0, 3.0], "p": [1.0] * 4}
         values[field][1] = bad
         coeff = CoefficientMap(grig.alphabet, tuple(values["p"]),
@@ -502,10 +502,10 @@ class TestDenseIdentity:
             finite_section_spectrum(grig, coeff, 16)
 
     def test_unconverged_dsterf_raises(self, monkeypatch, grig, grig_coeff):
-        def unconverged(n, d, e, info):
+        def unconverged(jobz, n, d, e, z, ldz, work, info, jobz_length):
             info._obj.value = 1
 
-        monkeypatch.setattr(spectral, "_dsterf", lambda: unconverged)
+        monkeypatch.setattr(spectral, "_dstev", lambda: unconverged)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             finite_section_spectrum(grig, grig_coeff, 8)
 
